@@ -24,9 +24,10 @@ lint:
 # force the multi-worker path), the pipeline package (root), the CSR
 # sweep kernels, the solvers sharding them across workers, the serving
 # layer (queue workers + singleflight cache), and the metrics registry
-# (lock-free counters/histograms hammered concurrently with scrapes).
+# (lock-free counters/histograms hammered concurrently with scrapes), and
+# the process generator (concurrent calls on one shared System).
 race:
-	$(GO) test -race . ./internal/bisim ./internal/sparse ./internal/compose ./internal/markov ./internal/imc ./internal/serve ./internal/sweep ./internal/obs ./internal/fault ./internal/retry
+	$(GO) test -race . ./internal/bisim ./internal/sparse ./internal/compose ./internal/markov ./internal/imc ./internal/serve ./internal/sweep ./internal/obs ./internal/fault ./internal/retry ./internal/process
 
 # Fault-injection suite under the race detector: sweeps under injected
 # errors/panics/latency must stay byte-identical to fault-free runs,

@@ -1,9 +1,10 @@
 package multival
 
-// One benchmark per experiment of the reproduction (see DESIGN.md §3 and
-// EXPERIMENTS.md). Each benchmark runs the same flow as cmd/experiments,
-// so `go test -bench=.` regenerates every reported quantity; printed
-// tables come from `go run ./cmd/experiments`.
+// One benchmark per experiment E1-E9 of the reproduction, plus engine
+// benchmarks (generation, composition, minimization, partition
+// refinement) and solver benchmarks. Each experiment benchmark runs the
+// same flow as cmd/experiments, so `go test -bench=.` regenerates every
+// reported quantity; printed tables come from `go run ./cmd/experiments`.
 
 import (
 	"context"
@@ -22,6 +23,7 @@ import (
 	"multival/internal/markov"
 	"multival/internal/mcl"
 	"multival/internal/phasetype"
+	"multival/internal/process"
 	"multival/internal/xstream"
 )
 
@@ -655,14 +657,26 @@ func BenchmarkPartition50kBranchingParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkStateSpaceGeneration: translate the 3-port handshake-expanded
+// CHP router and generate its 65,329-state LTS through the process
+// calculus (the state-space generation step of the functional flow).
 func BenchmarkStateSpaceGeneration(b *testing.B) {
+	procs, err := faust.RouterProcesses(faust.RouterConfig{Ports: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		l, err := xstream.FunctionalModel(xstream.Config{
-			Capacity: 4, Values: 2, Variant: xstream.Correct, WithFlush: true,
-		})
+		sys, err := chp.Translate(procs, chp.Options{HandshakeExpand: true})
 		if err != nil {
 			b.Fatal(err)
 		}
-		_ = l
+		l, err := sys.GenerateCtx(context.Background(), process.GenOptions{MaxStates: 1 << 20})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if l.NumStates() != 65329 {
+			b.Fatalf("router: %d states, want 65329", l.NumStates())
+		}
 	}
 }

@@ -29,6 +29,23 @@ import (
 //
 // Buffer/flag accesses are internal (hidden).
 func MPIFunctionalModel(values int) (*lts.LTS, error) {
+	sys, err := MPIFunctionalSystem(values)
+	if err != nil {
+		return nil, err
+	}
+	l, err := sys.Generate(process.GenOptions{MaxStates: 1 << 18})
+	if err != nil {
+		return nil, err
+	}
+	trimmed, _ := l.Trim()
+	trimmed.SetName("mpi-functional")
+	return trimmed, nil
+}
+
+// MPIFunctionalSystem builds the process system MPIFunctionalModel
+// generates: sender and receiver over the buffer and flag cells, with
+// the memory gates hidden.
+func MPIFunctionalSystem(values int) (*process.System, error) {
 	if values < 1 || values > 3 {
 		return nil, fmt.Errorf("fame: values %d out of 1..3", values)
 	}
@@ -91,12 +108,5 @@ func MPIFunctionalModel(values int) (*lts.LTS, error) {
 	)
 	root := process.HideIn(memGates, process.SyncPar(memGates, users, cells))
 	sys.SetRoot(root)
-
-	l, err := sys.Generate(process.GenOptions{MaxStates: 1 << 18})
-	if err != nil {
-		return nil, err
-	}
-	trimmed, _ := l.Trim()
-	trimmed.SetName("mpi-functional")
-	return trimmed, nil
+	return sys, nil
 }

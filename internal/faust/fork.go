@@ -80,6 +80,22 @@ func ForkSpec(values int) (*lts.LTS, error) {
 // sinks; all handshake gates are hidden, so the visible alphabet matches
 // ForkSpec (b !v, c !v).
 func ForkImpl(values int, variant ForkVariant) (*lts.LTS, error) {
+	sys, err := ForkSystem(values, variant)
+	if err != nil {
+		return nil, err
+	}
+	l, err := sys.Generate(process.GenOptions{})
+	if err != nil {
+		return nil, err
+	}
+	trimmed, _ := l.Trim()
+	trimmed.SetName(sys.Name)
+	return trimmed, nil
+}
+
+// ForkSystem builds the process system ForkImpl generates: the fork
+// circuit, source and sinks under hidden handshake gates.
+func ForkSystem(values int, variant ForkVariant) (*process.System, error) {
 	if err := checkValues(values); err != nil {
 		return nil, err
 	}
@@ -145,13 +161,7 @@ func ForkImpl(values int, variant ForkVariant) (*lts.LTS, error) {
 		circuit)
 	sys.SetRoot(process.HideIn(
 		[]string{"a_req", "a_ack", "b_req", "b_ack", "c_req", "c_ack", "bc_ack"}, root))
-	l, err := sys.Generate(process.GenOptions{})
-	if err != nil {
-		return nil, err
-	}
-	trimmed, _ := l.Trim()
-	trimmed.SetName(sys.Name)
-	return trimmed, nil
+	return sys, nil
 }
 
 func sharedGates(ackB, ackC string) []string {

@@ -45,8 +45,14 @@ func (o Offer) String() string {
 // generator rewrites them by substitution, so a reachable term is always
 // closed (no free variables).
 type Behavior interface {
-	// String renders the term canonically; equal strings mean equal
-	// states during generation.
+	// String renders the term canonically. It is the state-identity
+	// contract of generation: two reachable terms are one state iff
+	// their strings are equal. The generator keys this identity without
+	// printing the static operators Par, Hide and Rename: their key is
+	// the operator, the printed gate set or rename map, and the IDs of
+	// their children, which their fully parenthesized printing makes
+	// equivalent to string equality. Every other term is keyed by this
+	// string.
 	String() string
 	// subst replaces free occurrences of a variable by a value.
 	subst(name string, v Value) Behavior
@@ -227,16 +233,21 @@ func (h Hide) String() string {
 }
 
 func (r Rename) String() string {
-	keys := make([]string, 0, len(r.Map))
-	for k := range r.Map {
+	return "rename [" + renameString(r.Map) + "] in (" + r.B.String() + ")"
+}
+
+// renameString prints a rename map canonically, sorted by source gate.
+func renameString(m map[string]string) string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	parts := make([]string, len(keys))
 	for i, k := range keys {
-		parts[i] = k + "->" + r.Map[k]
+		parts[i] = k + "->" + m[k]
 	}
-	return "rename [" + strings.Join(parts, ",") + "] in (" + r.B.String() + ")"
+	return strings.Join(parts, ",")
 }
 
 func (d Disable) String() string {

@@ -69,9 +69,13 @@ func (e *ExplosionError) Error() string {
 func (e *ExplosionError) Unwrap() error { return engine.ErrStateBound }
 
 // Generate explores the state space of the system's root behaviour and
-// returns it as an LTS. States are identified by the canonical printing of
-// their (closed) behaviour term; exploration is breadth-first, so state
-// numbering is deterministic. It is GenerateCtx without cancellation.
+// returns it as an LTS. Two reachable terms are the same state iff their
+// canonical strings (Behavior.String) are equal; a per-call hash-consed
+// store keys that identity structurally for Par, Hide and Rename, so
+// global states are never printed (see store). Exploration is
+// breadth-first and each state's transitions keep their derivation order,
+// so state numbering and the label table are deterministic. It is
+// GenerateCtx without cancellation.
 func (s *System) Generate(opts GenOptions) (*lts.LTS, error) {
 	return s.GenerateCtx(context.Background(), opts)
 }
@@ -83,7 +87,8 @@ const genCheckEvery = 1024
 // GenerateCtx is Generate with cancellation: the exploration worklist
 // checks ctx every genCheckEvery states and returns ctx.Err() (wrapped)
 // when the context is done, so a deadline or cancel aborts generation
-// mid-worklist rather than after the fact.
+// mid-worklist rather than after the fact. Calls on one System may run
+// concurrently: each call owns its term store.
 func (s *System) GenerateCtx(ctx context.Context, opts GenOptions) (*lts.LTS, error) {
 	if s.Root == nil {
 		return nil, fmt.Errorf("process: system %q has no root behaviour", s.Name)
@@ -93,47 +98,53 @@ func (s *System) GenerateCtx(ctx context.Context, opts GenOptions) (*lts.LTS, er
 		bound = DefaultMaxStates
 	}
 
+	st := newStore(s.Defs)
 	l := lts.New(s.Name)
-	index := make(map[string]lts.State)
-	var terms []Behavior
+	var queue []int32 // LTS state -> term ID
 
-	intern := func(b Behavior) (lts.State, bool, error) {
-		key := b.String()
-		if st, ok := index[key]; ok {
-			return st, false, nil
+	intern := func(id int32) (lts.State, error) {
+		e := &st.ent[id]
+		if e.state >= 0 {
+			return e.state, nil
 		}
-		if len(terms) >= bound {
-			return 0, false, &ExplosionError{bound}
+		if len(queue) >= bound {
+			return 0, &ExplosionError{bound}
 		}
-		st := l.AddState()
-		index[key] = st
-		terms = append(terms, b)
-		return st, true, nil
+		e.state = l.AddState()
+		queue = append(queue, id)
+		return e.state, nil
+	}
+	ltsLabel := func(id int32) int {
+		a := &st.acts[id]
+		if a.ltsID < 0 {
+			a.ltsID = l.LabelID(a.label)
+		}
+		return a.ltsID
 	}
 
-	if _, _, err := intern(s.Root); err != nil {
+	if _, err := intern(st.intern(s.Root)); err != nil {
 		return nil, err
 	}
 	l.SetInitial(0)
 
-	for qi := 0; qi < len(terms); qi++ {
+	for qi := 0; qi < len(queue); qi++ {
 		if qi%genCheckEvery == 0 {
 			if err := engine.Canceled(ctx); err != nil {
-				return nil, fmt.Errorf("process: generation canceled at %d states: %w", len(terms), err)
+				return nil, fmt.Errorf("process: generation canceled at %d states: %w", len(queue), err)
 			}
-			opts.Progress.Report(engine.Progress{Stage: "generate", States: len(terms)})
+			opts.Progress.Report(engine.Progress{Stage: "generate", States: len(queue)})
 		}
 		src := lts.State(qi)
-		ss, err := steps(terms[qi], s.Defs, 0)
+		ms, err := st.movesOf(queue[qi], 0)
 		if err != nil {
 			return nil, fmt.Errorf("state %d: %w", qi, err)
 		}
-		for _, st := range ss {
-			dst, _, err := intern(st.next)
+		for _, m := range ms {
+			dst, err := intern(m.next)
 			if err != nil {
 				return nil, err
 			}
-			l.AddTransition(src, st.label(), dst)
+			l.AddTransitionID(src, ltsLabel(m.act), dst)
 		}
 	}
 	return l, nil

@@ -8,23 +8,40 @@ import (
 	"multival/internal/lts"
 )
 
+// gen and genSys generate a fixture and check it against the reference
+// generator, so every fixture below is also a differential test.
 func gen(t *testing.T, b Behavior) *lts.LTS {
 	t.Helper()
-	l, err := GenerateBehavior("test", b, GenOptions{MaxStates: 100000})
+	return genSys(t, NewSystem("test").SetRoot(b))
+}
+
+func genSys(t *testing.T, sys *System) *lts.LTS {
+	t.Helper()
+	l, diff, err := checkAgainstReference(sys, GenOptions{MaxStates: 100000})
+	if diff != "" {
+		t.Fatalf("differs from the reference generator: %s", diff)
+	}
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
 	return l
 }
 
-func genSys(t *testing.T, sys *System) *lts.LTS {
+// genErr generates a fixture that must fail, checks that the reference
+// generator fails identically, and returns the error.
+func genErr(t *testing.T, sys *System, opts GenOptions) error {
 	t.Helper()
-	l, err := sys.Generate(GenOptions{MaxStates: 100000})
-	if err != nil {
-		t.Fatalf("Generate: %v", err)
+	_, diff, err := checkAgainstReference(sys, opts)
+	if diff != "" {
+		t.Fatalf("differs from the reference generator: %s", diff)
 	}
-	return l
+	if err == nil {
+		t.Fatal("generation succeeded, want an error")
+	}
+	return err
 }
+
+func behaviorSys(b Behavior) *System { return NewSystem("bad").SetRoot(b) }
 
 func hasLabel(l *lts.LTS, label string) bool {
 	return l.LookupLabel(label) >= 0
@@ -218,8 +235,8 @@ func TestExitSynchronizes(t *testing.T) {
 
 func TestSeqMismatchedExitArity(t *testing.T) {
 	b := Seq{Exit{[]Expr{Int(1)}}, nil, Stop{}}
-	if _, err := GenerateBehavior("bad", b, GenOptions{}); err == nil {
-		t.Fatal("arity mismatch accepted")
+	if err := genErr(t, behaviorSys(b), GenOptions{}); !strings.Contains(err.Error(), "accept") {
+		t.Fatalf("arity mismatch: %v", err)
 	}
 }
 
@@ -258,8 +275,19 @@ func TestUnguardedRecursionDetected(t *testing.T) {
 	sys := NewSystem("bad")
 	sys.Define("P", nil, Choice{Call{Proc: "P"}, Do("a", Stop{})})
 	sys.SetRoot(Call{Proc: "P"})
-	_, err := sys.Generate(GenOptions{})
-	if err == nil || !strings.Contains(err.Error(), "recursion") {
+	err := genErr(t, sys, GenOptions{})
+	if !strings.Contains(err.Error(), "recursion") {
+		t.Fatalf("unguarded recursion not detected: %v", err)
+	}
+}
+
+func TestUnguardedRecursionThroughPar(t *testing.T) {
+	// P := P ||| a; stop unfolds P under a parallel operator whose moves
+	// are still being derived when P is reached again.
+	sys := NewSystem("bad")
+	sys.Define("P", nil, Interleave(Call{Proc: "P"}, Do("a", Stop{})))
+	sys.SetRoot(Call{Proc: "P"})
+	if err := genErr(t, sys, GenOptions{}); !strings.Contains(err.Error(), "recursion") {
 		t.Fatalf("unguarded recursion not detected: %v", err)
 	}
 }
@@ -267,8 +295,8 @@ func TestUnguardedRecursionDetected(t *testing.T) {
 func TestUndefinedProcess(t *testing.T) {
 	sys := NewSystem("bad")
 	sys.SetRoot(Call{Proc: "Nope"})
-	if _, err := sys.Generate(GenOptions{}); err == nil {
-		t.Fatal("undefined process accepted")
+	if err := genErr(t, sys, GenOptions{}); !strings.Contains(err.Error(), "undefined process") {
+		t.Fatalf("undefined process: %v", err)
 	}
 }
 
@@ -276,8 +304,8 @@ func TestWrongArity(t *testing.T) {
 	sys := NewSystem("bad")
 	sys.Define("P", []string{"x"}, Stop{})
 	sys.SetRoot(Call{Proc: "P"})
-	if _, err := sys.Generate(GenOptions{}); err == nil {
-		t.Fatal("wrong arity accepted")
+	if err := genErr(t, sys, GenOptions{}); !strings.Contains(err.Error(), "expects 1 arguments") {
+		t.Fatalf("wrong arity: %v", err)
 	}
 }
 
@@ -287,11 +315,8 @@ func TestExplosionGuard(t *testing.T) {
 	sys.Define("C", []string{"n"},
 		Guard{Gt(V("n"), Int(0)), Do("t", Call{"C", []Expr{Sub(V("n"), Int(1))}})})
 	sys.SetRoot(Call{"C", []Expr{Int(1000)}})
-	_, err := sys.Generate(GenOptions{MaxStates: 10})
+	err := genErr(t, sys, GenOptions{MaxStates: 10})
 	var ee *ExplosionError
-	if err == nil {
-		t.Fatal("explosion not detected")
-	}
 	if !errorsAs(err, &ee) {
 		t.Fatalf("unexpected error type: %v", err)
 	}
@@ -362,23 +387,16 @@ func TestTauNeverSynchronizes(t *testing.T) {
 
 func TestEmptyDomainError(t *testing.T) {
 	b := Act("G", []Offer{Recv("x", 5, 2)}, Stop{})
-	if _, err := GenerateBehavior("bad", b, GenOptions{}); err == nil {
-		t.Fatal("empty domain accepted")
-	}
+	genErr(t, behaviorSys(b), GenOptions{})
 }
 
 func TestHugeDomainError(t *testing.T) {
 	b := Act("G", []Offer{Recv("x", 0, 100000)}, Stop{})
-	if _, err := GenerateBehavior("bad", b, GenOptions{}); err == nil {
-		t.Fatal("huge domain accepted")
-	}
+	genErr(t, behaviorSys(b), GenOptions{})
 }
 
 func TestNoRootError(t *testing.T) {
-	sys := NewSystem("empty")
-	if _, err := sys.Generate(GenOptions{}); err == nil {
-		t.Fatal("missing root accepted")
-	}
+	genErr(t, NewSystem("empty"), GenOptions{})
 }
 
 func TestShadowingInOffers(t *testing.T) {

@@ -178,3 +178,90 @@ func TestQuickStopIsChoiceUnit(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// randTerm generates random closed terms over every operator the store
+// keys structurally (Par, Hide, Rename) mixed with the sequential ones
+// (prefix with offers, Choice, Seq with value passing, Disable, Guard,
+// recursive calls), so static operators also occur nested under
+// sequential ones, as in (P ||| Q) >> R.
+type randTerm struct{ B Behavior }
+
+func genTerm(rng *rand.Rand, depth int) Behavior {
+	gates := []string{"a", "b", "c"}
+	gate := func() string { return gates[rng.Intn(len(gates))] }
+	subset := func() []string {
+		var out []string
+		for _, g := range gates {
+			if rng.Intn(2) == 0 {
+				out = append(out, g)
+			}
+		}
+		return out
+	}
+	if depth <= 0 {
+		switch rng.Intn(5) {
+		case 0:
+			return Exit{}
+		case 1:
+			return Exit{[]Expr{Int(rng.Intn(2))}}
+		case 2:
+			return Call{Proc: "Loop"}
+		case 3:
+			return Call{Proc: "Count", Args: []Expr{Int(rng.Intn(3))}}
+		default:
+			return Stop{}
+		}
+	}
+	sub := func() Behavior { return genTerm(rng, depth-1) }
+	switch rng.Intn(11) {
+	case 0:
+		return Do(gate(), sub())
+	case 1:
+		return Act(gate(), []Offer{Recv("x", 0, 1)}, Act(gate(), []Offer{Send(V("x"))}, sub()))
+	case 2:
+		return Choice{sub(), sub()}
+	case 3:
+		return Par{A: sub(), B: sub()}
+	case 4:
+		return Par{Sync: subset(), A: sub(), B: sub()}
+	case 5:
+		return Hide{Gates: subset(), B: sub()}
+	case 6:
+		return Rename{Map: map[string]string{gate(): gate(), gate(): "z"}, B: sub()}
+	case 7:
+		return Seq{A: sub(), B: sub()}
+	case 8:
+		return Seq{A: sub(), Accept: []string{"y"}, B: Act(gate(), []Offer{Send(V("y"))}, sub())}
+	case 9:
+		return Disable{A: sub(), B: sub()}
+	default:
+		return Guard{Cond: Gt(Int(rng.Intn(3)), Int(0)), B: sub()}
+	}
+}
+
+func (randTerm) Generate(rng *rand.Rand, _ int) reflect.Value {
+	return reflect.ValueOf(randTerm{genTerm(rng, 5)})
+}
+
+// TestQuickGenerateMatchesReference: on random terms, GenerateCtx and the
+// string-keyed reference produce the identical LTS or the identical error
+// (exit-arity mismatches and explosions of the small bound included).
+func TestQuickGenerateMatchesReference(t *testing.T) {
+	prop := func(r randTerm) bool {
+		sys := NewSystem("quick")
+		sys.Define("Loop", nil, Do("a", Call{Proc: "Loop"}))
+		sys.Define("Count", []string{"n"}, Alt(
+			Guard{Gt(V("n"), Int(0)), Do("b", Call{"Count", []Expr{Sub(V("n"), Int(1))}})},
+			Guard{Eq(V("n"), Int(0)), Exit{}},
+		))
+		sys.SetRoot(r.B)
+		_, diff, _ := checkAgainstReference(sys, GenOptions{MaxStates: 2000})
+		if diff != "" {
+			t.Logf("%s: %s", r.B, diff)
+		}
+		return diff == ""
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(15))}); err != nil {
+		t.Error(err)
+	}
+}

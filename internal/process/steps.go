@@ -39,24 +39,18 @@ func (s step) label() string {
 	return b.String()
 }
 
-// sameLabel reports whether two steps carry the same gate and values
-// (used for gate synchronization).
-func sameLabel(a, b step) bool {
-	if a.gate != b.gate || len(a.args) != len(b.args) {
-		return false
-	}
-	for i := range a.args {
-		if a.args[i] != b.args[i] {
-			return false
-		}
-	}
-	return true
+// unguardedError reports that the unfold limit was exceeded at term b.
+func unguardedError(b Behavior) error {
+	return fmt.Errorf("process: unguarded recursion (unfold limit %d exceeded) in %.120s", maxUnfold, b.String())
 }
 
-// steps computes all transitions of a closed behaviour term.
-func steps(b Behavior, defs map[string]*ProcDef, depth int) ([]step, error) {
+// steps computes all transitions of a closed behaviour term. The static
+// operators (Par, Hide, Rename) are derived by the store, so each of
+// their rules has one implementation whether the operator is a global
+// state or nested under a sequential one, as in (P ||| Q) >> R.
+func (st *store) steps(b Behavior, depth int) ([]step, error) {
 	if depth > maxUnfold {
-		return nil, fmt.Errorf("process: unguarded recursion (unfold limit %d exceeded) in %.120s", maxUnfold, b.String())
+		return nil, unguardedError(b)
 	}
 	switch t := b.(type) {
 	case Stop:
@@ -87,59 +81,33 @@ func steps(b Behavior, defs map[string]*ProcDef, depth int) ([]step, error) {
 		if c.N == 0 {
 			return nil, nil
 		}
-		return steps(t.B, defs, depth+1)
+		return st.steps(t.B, depth+1)
 
 	case Choice:
-		sa, err := steps(t.A, defs, depth+1)
+		sa, err := st.steps(t.A, depth+1)
 		if err != nil {
 			return nil, err
 		}
-		sb, err := steps(t.B, defs, depth+1)
+		sb, err := st.steps(t.B, depth+1)
 		if err != nil {
 			return nil, err
 		}
 		return append(sa, sb...), nil
 
-	case Par:
-		return parSteps(t, defs, depth)
-
-	case Hide:
-		inner, err := steps(t.B, defs, depth+1)
+	case Par, Hide, Rename:
+		ms, err := st.movesOf(st.intern(b), depth)
 		if err != nil {
 			return nil, err
 		}
-		out := make([]step, len(inner))
-		for i, s := range inner {
-			ns := s
-			ns.next = Hide{t.Gates, s.next}
-			if !s.isExit && gateIn(s.gate, t.Gates) {
-				ns.gate = lts.Tau
-				ns.args = nil
-			}
-			out[i] = ns
-		}
-		return out, nil
-
-	case Rename:
-		inner, err := steps(t.B, defs, depth+1)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]step, len(inner))
-		for i, s := range inner {
-			ns := s
-			ns.next = Rename{t.Map, s.next}
-			if !s.isExit && s.gate != lts.Tau {
-				if to, ok := t.Map[s.gate]; ok {
-					ns.gate = to
-				}
-			}
-			out[i] = ns
+		out := make([]step, len(ms))
+		for i, m := range ms {
+			a := &st.acts[m.act]
+			out[i] = step{gate: a.gate, args: a.args, isExit: a.isExit, next: st.ent[m.next].term}
 		}
 		return out, nil
 
 	case Seq:
-		inner, err := steps(t.A, defs, depth+1)
+		inner, err := st.steps(t.A, depth+1)
 		if err != nil {
 			return nil, err
 		}
@@ -164,11 +132,11 @@ func steps(b Behavior, defs map[string]*ProcDef, depth int) ([]step, error) {
 		return out, nil
 
 	case Disable:
-		sa, err := steps(t.A, defs, depth+1)
+		sa, err := st.steps(t.A, depth+1)
 		if err != nil {
 			return nil, err
 		}
-		sb, err := steps(t.B, defs, depth+1)
+		sb, err := st.steps(t.B, depth+1)
 		if err != nil {
 			return nil, err
 		}
@@ -192,10 +160,10 @@ func steps(b Behavior, defs map[string]*ProcDef, depth int) ([]step, error) {
 		if err != nil {
 			return nil, err
 		}
-		return steps(t.B.subst(t.Var, v), defs, depth+1)
+		return st.steps(t.B.subst(t.Var, v), depth+1)
 
 	case Call:
-		def, ok := defs[t.Proc]
+		def, ok := st.defs[t.Proc]
 		if !ok {
 			return nil, fmt.Errorf("process: undefined process %q", t.Proc)
 		}
@@ -210,7 +178,7 @@ func steps(b Behavior, defs map[string]*ProcDef, depth int) ([]step, error) {
 			}
 			body = body.subst(p, v)
 		}
-		return steps(body, defs, depth+1)
+		return st.steps(body, depth+1)
 
 	default:
 		return nil, fmt.Errorf("process: unknown behaviour %T", b)
@@ -278,55 +246,6 @@ func expandOffers(gate string, offers []Offer, acc []Value, cont Behavior) ([]st
 			return nil, err
 		}
 		out = append(out, ss...)
-	}
-	return out, nil
-}
-
-// parSteps implements the LOTOS parallel operator: interleave steps whose
-// gate is outside the synchronization set, match steps pairwise on
-// synchronized gates (same gate, same values), and synchronize successful
-// termination.
-func parSteps(t Par, defs map[string]*ProcDef, depth int) ([]step, error) {
-	sa, err := steps(t.A, defs, depth+1)
-	if err != nil {
-		return nil, err
-	}
-	sb, err := steps(t.B, defs, depth+1)
-	if err != nil {
-		return nil, err
-	}
-	var out []step
-	for _, s := range sa {
-		if s.isExit || (s.gate != lts.Tau && gateIn(s.gate, t.Sync)) {
-			continue
-		}
-		ns := s
-		ns.next = Par{t.Sync, s.next, t.B}
-		out = append(out, ns)
-	}
-	for _, s := range sb {
-		if s.isExit || (s.gate != lts.Tau && gateIn(s.gate, t.Sync)) {
-			continue
-		}
-		ns := s
-		ns.next = Par{t.Sync, t.A, s.next}
-		out = append(out, ns)
-	}
-	for _, x := range sa {
-		for _, y := range sb {
-			switch {
-			case x.isExit && y.isExit:
-				// LOTOS: termination synchronizes; require agreeing
-				// result values so '>>' binding is well-defined.
-				if sameLabel(step{gate: "exit", args: x.args}, step{gate: "exit", args: y.args}) {
-					out = append(out, step{isExit: true, args: x.args, next: Par{t.Sync, x.next, y.next}})
-				}
-			case !x.isExit && !y.isExit && x.gate != lts.Tau && gateIn(x.gate, t.Sync):
-				if sameLabel(x, y) {
-					out = append(out, step{gate: x.gate, args: x.args, next: Par{t.Sync, x.next, y.next}})
-				}
-			}
-		}
 	}
 	return out, nil
 }
