@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint race chaos smoke bench bench-engine bench-solver check
+.PHONY: build test vet lint race chaos smoke mvbench bench bench-engine bench-solver check
 
 build:
 	$(GO) build ./...
@@ -42,6 +42,12 @@ chaos:
 smoke:
 	./scripts/smoke.sh
 
+# The benchmark harness is its own module (mvbench/go.mod) importing
+# multival/internal/..., so the root build never compiles it: vet and
+# test it here so API changes that break it fail fast.
+mvbench:
+	cd mvbench && $(GO) vet ./... && $(GO) test ./...
+
 # Full benchmark suite (one run per experiment + engine micro-benchmarks).
 bench:
 	$(GO) test -run XXX -bench . -benchtime 1x ./...
@@ -63,4 +69,4 @@ bench-engine:
 bench-solver:
 	./scripts/bench.sh
 
-check: build vet test lint race chaos smoke
+check: build vet test lint race chaos smoke mvbench

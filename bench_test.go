@@ -54,7 +54,7 @@ func BenchmarkE1XStreamIssues(b *testing.B) {
 // BenchmarkE2FaustRouter: generate and verify the 3-port router.
 func BenchmarkE2FaustRouter(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		l, err := faust.RouterLTS(faust.RouterConfig{Ports: 3}, chp.Options{}, 1<<20)
+		l, err := faust.RouterLTS(context.Background(), faust.RouterConfig{Ports: 3}, chp.Options{}, 1<<20)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func BenchmarkE3IsochronousFork(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			eq := bisim.Equivalent(spec, impl, bisim.Branching)
+			eq := equivalent(spec, impl, bisim.Branching)
 			if eq != (v != faust.ForkUnsafe) {
 				b.Fatalf("%v: unexpected verdict %v", v, eq)
 			}
@@ -111,7 +111,7 @@ func BenchmarkE5XStreamPerf(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, capacity := range []int{4, 8, 16} {
 			for _, rho := range []float64{0.3, 0.6, 0.9, 1.2, 1.5} {
-				if _, err := xstream.Evaluate(xstream.PerfConfig{
+				if _, err := xstream.Evaluate(context.Background(), xstream.PerfConfig{
 					Capacity: capacity, ArrivalRate: rho * 2, ServiceRate: 2,
 				}); err != nil {
 					b.Fatal(err)
@@ -139,7 +139,7 @@ func BenchmarkE6FixedDelay(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := m.ToCTMC(nil)
+			res, err := m.ToCTMCCtx(context.Background(), nil, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -186,11 +186,11 @@ func BenchmarkE8Compositional(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		_, monoRep, err := compose.Monolithic(net, bisim.Branching)
+		_, monoRep, err := monolithic(net, bisim.Branching)
 		if err != nil {
 			b.Fatal(err)
 		}
-		_, smartRep, err := compose.SmartReduce(net, bisim.Branching)
+		_, smartRep, err := smartReduce(net, bisim.Branching)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -228,9 +228,11 @@ func BenchmarkE9LumpingAblation(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			cur = next.Hide(gate(s)).Minimize()
+			if cur, err = next.Hide(gate(s)).Minimize(context.Background()); err != nil {
+				b.Fatal(err)
+			}
 		}
-		res, err := cur.MaximalProgress().ToCTMC(imc.UniformScheduler{})
+		res, err := cur.MaximalProgress().ToCTMCCtx(context.Background(), imc.UniformScheduler{}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -247,18 +249,18 @@ func BenchmarkMinimizeBranching(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	prod, err := net.Generate()
+	prod, err := net.GenerateOpt(context.Background(), compose.GenOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bisim.Minimize(prod, bisim.Branching)
+		minimize(prod, bisim.Branching)
 	}
 }
 
 func BenchmarkModelCheckRouter(b *testing.B) {
-	l, err := faust.RouterLTS(faust.RouterConfig{Ports: 3}, chp.Options{}, 1<<20)
+	l, err := faust.RouterLTS(context.Background(), faust.RouterConfig{Ports: 3}, chp.Options{}, 1<<20)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -512,7 +514,7 @@ func boundsRing(n int) *imc.IMC {
 // iteration.
 func BenchmarkThroughputBoundsPolicy(b *testing.B) {
 	m := boundsRing(24)
-	if _, _, err := m.ThroughputBoundsEnum("work", 0); err == nil {
+	if _, _, err := m.ThroughputBoundsEnum(context.Background(), "work", 0); err == nil {
 		b.Fatal("odometer enumeration accepted 2^24 scheduler combinations")
 	}
 	b.ResetTimer()
@@ -548,11 +550,11 @@ func benchComposeThenMinimize(b *testing.B, states int) {
 	main, monitor, sync := composeMinimizeInputs(states)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		prod, err := compose.Pair(main, monitor, sync, 1<<22)
+		prod, err := pair(main, monitor, sync, 1<<22)
 		if err != nil {
 			b.Fatal(err)
 		}
-		q, _ := bisim.Minimize(prod, bisim.Branching)
+		q, _ := minimize(prod, bisim.Branching)
 		if q.NumStates() == 0 {
 			b.Fatal("empty quotient")
 		}
@@ -637,7 +639,7 @@ func BenchmarkPartition50kStrongParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// Through the public entry point, so the Freeze() cost the
 		// parallel path pays is part of the seq-vs-parallel comparison.
-		bisim.Partition(l, bisim.Strong)
+		partition(l, bisim.Strong)
 	}
 }
 
@@ -653,7 +655,7 @@ func BenchmarkPartition50kBranchingParallel(b *testing.B) {
 	l := partitionInput()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bisim.Partition(l, bisim.Branching)
+		partition(l, bisim.Branching)
 	}
 }
 

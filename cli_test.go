@@ -10,9 +10,11 @@ package multival
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -185,6 +187,26 @@ func TestCLITimeoutAborts(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "context deadline exceeded") {
 		t.Fatalf("stderr = %q, want a deadline error", stderr)
+	}
+}
+
+// TestExperimentsTimeoutInsideExperiment: the -timeout budget cancels a
+// running experiment (E2's 65k-state router generation), not only the
+// experiments that have not started yet.
+func TestExperimentsTimeoutInsideExperiment(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns go run")
+	}
+	out, _, err := runToolCapture(t, "experiments", "-timeout", "50ms", "E2")
+	if err == nil {
+		t.Fatal("experiments with a 50ms budget succeeded")
+	}
+	if !strings.Contains(out, "==== E2") || !strings.Contains(out, "ERROR: ") ||
+		!strings.Contains(out, "context deadline exceeded") {
+		t.Fatalf("output = %q, want E2 to start and fail on the deadline", out)
+	}
+	if strings.Contains(out, "65329") {
+		t.Fatalf("E2 finished the 65k-state router despite the deadline:\n%s", out)
 	}
 }
 
@@ -417,4 +439,65 @@ func TestCLIEvaluateFit(t *testing.T) {
 		t.Fatal(err)
 	}
 	runTool(t, false, "evaluate", "-fit", bad)
+}
+
+// TestExperimentsGolden pins the whole reproduction: the output of
+// cmd/experiments (E1–E11) must match testdata/experiments.golden byte
+// for byte, except for two floating-point residual columns — E5's
+// max|err| against the M/M/1/K closed form and E9's throughput-delta
+// between lumped and unlumped pipelines — which depend on rounding and
+// are only required to stay at or below 1e-9.
+func TestExperimentsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns go run and runs every experiment")
+	}
+	wantRaw, err := os.ReadFile(filepath.Join("cmd", "experiments", "testdata", "experiments.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Split(runTool(t, true, "experiments"), "\n")
+	want := strings.Split(string(wantRaw), "\n")
+	if len(got) != len(want) {
+		t.Fatalf("experiments printed %d lines, golden has %d", len(got), len(want))
+	}
+	section := ""
+	for i := range want {
+		if strings.HasPrefix(want[i], "==== ") {
+			section = strings.Fields(want[i])[1]
+		}
+		if (section == "E5:" || section == "E9:") && isDataRow(want[i]) {
+			gotHead, gotErr := splitLastField(got[i])
+			wantHead, _ := splitLastField(want[i])
+			if gotHead != wantHead {
+				t.Errorf("line %d:\n got  %q\n want %q", i+1, got[i], want[i])
+				continue
+			}
+			v, err := strconv.ParseFloat(gotErr, 64)
+			if err != nil || math.Abs(v) > 1e-9 {
+				t.Errorf("line %d: residual %q exceeds 1e-9", i+1, gotErr)
+			}
+			continue
+		}
+		if got[i] != want[i] {
+			t.Errorf("line %d:\n got  %q\n want %q", i+1, got[i], want[i])
+		}
+	}
+}
+
+// isDataRow reports whether a table line starts with an integer (a row
+// rather than a column header).
+func isDataRow(line string) bool {
+	f := strings.Fields(line)
+	if len(f) == 0 {
+		return false
+	}
+	_, err := strconv.Atoi(f[0])
+	return err == nil
+}
+
+// splitLastField splits a table row into everything before its last
+// whitespace-separated field and that field.
+func splitLastField(line string) (head, last string) {
+	i := strings.LastIndexAny(line, " \t")
+	return line[:i+1], line[i+1:]
 }

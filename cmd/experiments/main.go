@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -33,7 +34,7 @@ import (
 
 var experiments = []struct {
 	id, title string
-	run       func() error
+	run       func(context.Context) error
 }{
 	{"E1", "xSTream functional issues found by model checking (§3)", e1},
 	{"E2", "FAUST NoC router verified formally (§3)", e2},
@@ -63,14 +64,16 @@ func main() {
 		if len(want) > 0 && !want[e.id] {
 			continue
 		}
-		// The run budget (-timeout) is enforced between experiments.
+		// The run budget (-timeout) is checked here and, inside every
+		// experiment but E1 and E4 (small models built by ctx-less
+		// generators), at each generation, refinement and extraction.
 		if err := ctx.Err(); err != nil {
 			fmt.Printf("ERROR: run budget exhausted before %s: %v\n", e.id, err)
 			failed++
 			break
 		}
 		fmt.Printf("==== %s: %s ====\n", e.id, e.title)
-		if err := e.run(); err != nil {
+		if err := e.run(ctx); err != nil {
 			fmt.Printf("ERROR: %v\n", err)
 			failed++
 		}
@@ -82,7 +85,7 @@ func main() {
 }
 
 // E1: the two injected xSTream protocol issues are found by the flow.
-func e1() error {
+func e1(context.Context) error {
 	fmt.Println("variant          capacity states  deadlock-free  overflow-free  diagnosis")
 	for _, row := range []struct {
 		variant xstream.Variant
@@ -121,7 +124,7 @@ func e1() error {
 }
 
 // E2: router verification, monolithic vs compositional sizes.
-func e2() error {
+func e2(ctx context.Context) error {
 	fmt.Println("ports inputs  handshake  states  transitions  deadlock-free  misroute-free")
 	for _, cfg := range []struct {
 		ports  int
@@ -134,7 +137,7 @@ func e2() error {
 		{3, nil, true},
 		{4, []int{0, 1}, false},
 	} {
-		l, err := faust.RouterLTS(faust.RouterConfig{Ports: cfg.ports, InputsActive: cfg.inputs},
+		l, err := faust.RouterLTS(ctx, faust.RouterConfig{Ports: cfg.ports, InputsActive: cfg.inputs},
 			chp.Options{HandshakeExpand: cfg.hs}, 2<<20)
 		if err != nil {
 			return err
@@ -157,7 +160,7 @@ func e2() error {
 }
 
 // E3: fork implementations vs specification.
-func e3() error {
+func e3(ctx context.Context) error {
 	spec, err := faust.ForkSpec(2)
 	if err != nil {
 		return err
@@ -169,12 +172,19 @@ func e3() error {
 		if err != nil {
 			return err
 		}
-		eq := bisim.Equivalent(spec, impl, bisim.Branching)
+		eq, err := bisim.EquivalentCtx(ctx, spec, impl, bisim.Branching, bisim.Options{})
+		if err != nil {
+			return err
+		}
 		dead := mcl.MustCheck(impl, mcl.Reachable(mcl.Not(mcl.Dia(mcl.AnyAction(), mcl.True()))))
 		verdict := "CORRECT"
 		if !eq {
 			verdict = "REJECTED"
-			if res := bisim.Compare(spec, impl, bisim.Trace); len(res.Counterexample) > 0 {
+			res, err := bisim.CompareCtx(ctx, spec, impl, bisim.Trace, bisim.Options{})
+			if err != nil {
+				return err
+			}
+			if len(res.Counterexample) > 0 {
 				verdict += " (trace: " + strings.Join(res.Counterexample, ".") + ")"
 			}
 		}
@@ -184,7 +194,7 @@ func e3() error {
 }
 
 // E4: the FAME2 MPI latency prediction table.
-func e4() error {
+func e4(context.Context) error {
 	base := fame.Workload{
 		Nodes: 16, A: 0, B: 5, Chunks: 8, Scratch: 4, Rounds: 3,
 	}
@@ -205,13 +215,13 @@ func e4() error {
 }
 
 // E5: xSTream queue performance across load.
-func e5() error {
+func e5(ctx context.Context) error {
 	fmt.Println("capacity  rho    mean-occ  P(full)   throughput  latency   max|err| vs M/M/1/K")
 	for _, cap := range []int{4, 8, 16} {
 		for _, rho := range []float64{0.3, 0.6, 0.9, 1.2, 1.5} {
 			mu := 2.0
 			cfg := xstream.PerfConfig{Capacity: cap, ArrivalRate: rho * mu, ServiceRate: mu}
-			res, err := xstream.Evaluate(cfg)
+			res, err := xstream.Evaluate(ctx, cfg)
 			if err != nil {
 				return err
 			}
@@ -233,7 +243,7 @@ func e5() error {
 }
 
 // E6: Erlang approximation of a fixed delay.
-func e6() error {
+func e6(ctx context.Context) error {
 	fmt.Println("phases k  scv      W1-distance   imc-states  ctmc-states  cycle-throughput")
 	// A work cycle with a fixed delay of 0.5 time units: throughput 2.
 	work := lts.New("work")
@@ -255,7 +265,7 @@ func e6() error {
 		if err != nil {
 			return err
 		}
-		res, err := m.ToCTMC(nil)
+		res, err := m.ToCTMCCtx(ctx, nil, nil)
 		if err != nil {
 			return err
 		}
@@ -270,7 +280,7 @@ func e6() error {
 }
 
 // E7: nondeterminism — rejection, uniform resolution, extremal bounds.
-func e7() error {
+func e7(ctx context.Context) error {
 	// A server with a fast and a slow path chosen nondeterministically.
 	m := imc.New("nd-server")
 	idle := m.AddState()
@@ -288,9 +298,9 @@ func e7() error {
 	m.AddInteractive(sdone, "served", idle)
 	m.Inter.SetInitial(idle)
 
-	_, err := m.ToCTMC(nil)
+	_, err := m.ToCTMCCtx(ctx, nil, nil)
 	fmt.Printf("no scheduler:        %v\n", err)
-	res, err := m.ToCTMC(imc.UniformScheduler{})
+	res, err := m.ToCTMCCtx(ctx, imc.UniformScheduler{}, nil)
 	if err != nil {
 		return err
 	}
@@ -299,12 +309,12 @@ func e7() error {
 		return err
 	}
 	fmt.Printf("uniform scheduler:   served throughput = %.4f\n", res.ThroughputOf(pi, "served"))
-	lo, hi, err := m.ThroughputBounds("served", markov.SolveOptions{})
+	lo, hi, err := m.ThroughputBounds("served", markov.SolveOptions{Ctx: ctx})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("extremal schedulers: served throughput in [%.4f, %.4f] (policy iteration)\n", lo, hi)
-	elo, ehi, err := m.ThroughputBoundsEnum("served", 0)
+	elo, ehi, err := m.ThroughputBoundsEnum(ctx, "served", 0)
 	if err != nil {
 		return err
 	}
@@ -316,22 +326,25 @@ func e7() error {
 }
 
 // E8: compositional reduction vs monolithic generation on queue pipelines.
-func e8() error {
+func e8(ctx context.Context) error {
 	fmt.Println("stages  monolithic-peak  smart-peak  final  reduction-factor  equivalent")
 	for _, n := range []int{2, 3, 4, 5, 6} {
 		net, err := xstream.PipelineNetwork(n, 1, 2)
 		if err != nil {
 			return err
 		}
-		mono, monoRep, err := compose.Monolithic(net, bisim.Branching)
+		mono, monoRep, err := compose.MonolithicCtx(ctx, net, bisim.Branching, bisim.Options{})
 		if err != nil {
 			return err
 		}
-		smart, smartRep, err := compose.SmartReduce(net, bisim.Branching)
+		smart, smartRep, err := compose.SmartReduceCtx(ctx, net, bisim.Branching, bisim.Options{})
 		if err != nil {
 			return err
 		}
-		eq := bisim.Equivalent(mono, smart, bisim.Branching)
+		eq, err := bisim.EquivalentCtx(ctx, mono, smart, bisim.Branching, bisim.Options{})
+		if err != nil {
+			return err
+		}
 		factor := float64(monoRep.PeakStates) / float64(smartRep.PeakStates)
 		fmt.Printf("%6d  %15d  %10d  %5d  %16.2f  %v\n",
 			n, monoRep.PeakStates, smartRep.PeakStates, smartRep.FinalStates, factor, eq)
@@ -342,7 +355,7 @@ func e8() error {
 // E10: time-dependent state probabilities of an xSTream queue filling up
 // from empty — the "time-dependent state probabilities" measure of §4,
 // computed by uniformization and cross-checked against the steady state.
-func e10() error {
+func e10(ctx context.Context) error {
 	cfg := xstream.PerfConfig{Capacity: 8, ArrivalRate: 1.8, ServiceRate: 2}
 	l := xstream.CountingModel(cfg.Capacity)
 	m, err := imc.DecorateRates(l, map[string]float64{
@@ -351,7 +364,7 @@ func e10() error {
 	if err != nil {
 		return err
 	}
-	res, err := m.ToCTMC(nil)
+	res, err := m.ToCTMCCtx(ctx, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -370,7 +383,7 @@ func e10() error {
 		cfg.Capacity, cfg.ArrivalRate/cfg.ServiceRate)
 	fmt.Println("t       P(empty)  P(full)   mean-occupancy")
 	for _, t := range []float64{0, 0.5, 1, 2, 4, 8, 16, 32, 64} {
-		pi, err := res.Transient(t)
+		pi, err := res.TransientOpt(t, markov.SolveOptions{Ctx: ctx})
 		if err != nil {
 			return err
 		}
@@ -387,7 +400,7 @@ func e10() error {
 // Lower service variability (higher k) reduces blocking at equal load,
 // at the cost of a larger CTMC: the modeling-power side of the
 // space-accuracy trade-off.
-func e11() error {
+func e11(ctx context.Context) error {
 	lambda, mu := 1.8, 2.0
 	capacity := 6
 	fmt.Printf("M/Erlang-k/1/%d, lambda=%g, mean service %g\n", capacity, lambda, 1/mu)
@@ -397,7 +410,7 @@ func e11() error {
 		if err != nil {
 			return err
 		}
-		res, err := xstream.EvaluatePhaseService(capacity, lambda, dist)
+		res, err := xstream.EvaluatePhaseService(ctx, capacity, lambda, dist)
 		if err != nil {
 			return err
 		}
@@ -410,7 +423,7 @@ func e11() error {
 // E9: lumping during vs after composition of decorated queue stages,
 // reproducing the paper's "compositional approach (which alternates state
 // space generation and stochastic state space minimization)".
-func e9() error {
+func e9(ctx context.Context) error {
 	fmt.Println("stages  peak-no-lumping  peak-with-lumping  throughput-delta")
 	lam, mu := 1.0, 2.0
 	gate := func(i int) string { return fmt.Sprintf("h%d", i) }
@@ -448,19 +461,21 @@ func e9() error {
 					peak = next.NumStates()
 				}
 				if lumpEach {
-					next = next.Minimize()
+					if next, err = next.Minimize(ctx); err != nil {
+						return nil, 0, err
+					}
 				}
 				cur = next
 			}
-			cur = cur.Minimize()
-			return cur, peak, nil
+			cur, err := cur.Minimize(ctx)
+			return cur, peak, err
 		}
 		// The final handoff gate(n+1) stays visible: its occurrence
 		// rate is the pipeline throughput. Hidden handoffs introduce
 		// confluent tau choices, resolved uniformly (all schedulers
 		// agree on confluent taus, validated by the delta column).
 		thr := func(m *imc.IMC) (float64, error) {
-			res, err := m.MaximalProgress().ToCTMC(imc.UniformScheduler{})
+			res, err := m.MaximalProgress().ToCTMCCtx(ctx, imc.UniformScheduler{}, nil)
 			if err != nil {
 				return 0, err
 			}

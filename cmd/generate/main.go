@@ -89,7 +89,7 @@ func build(ctx context.Context, c *cli.Common, lotosFile, model string, o buildO
 			Capacity: o.capacity, Values: o.values, Variant: xstream.CreditLeak, WithFlush: true,
 		})
 	case model == "faust-router":
-		return faust.RouterLTS(faust.RouterConfig{Ports: o.ports},
+		return faust.RouterLTS(ctx, faust.RouterConfig{Ports: o.ports},
 			chp.Options{HandshakeExpand: o.handshake}, c.MaxStates)
 	case model == "faust-fork":
 		return faust.ForkSpec(o.values)

@@ -12,7 +12,7 @@ import "multival/internal/engine"
 //	case errors.Is(err, multival.ErrStateBound):
 //	    // raise WithMaxStates or decompose the model
 //	case errors.Is(err, context.DeadlineExceeded):
-//	    // the pipeline was cut off mid-operation
+//	    // ctx expired: generation stopped mid-worklist
 //	}
 //
 // Cancellation is reported through the standard context errors

@@ -23,7 +23,7 @@ func main() {
 	eng := multival.NewEngine()
 	// ---- Router verification ----
 	cfg := faust.RouterConfig{Ports: 3}
-	l, err := faust.RouterLTS(cfg, chp.Options{}, 1<<20)
+	l, err := faust.RouterLTS(ctx, cfg, chp.Options{}, 1<<20)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func main() {
 		misroutes, len(faust.MisroutedLabels(cfg.Ports)))
 
 	// Every packet accepted on input 0 is inevitably delivered.
-	single, err := faust.RouterLTS(faust.RouterConfig{Ports: 3, InputsActive: []int{0}},
+	single, err := faust.RouterLTS(ctx, faust.RouterConfig{Ports: 3, InputsActive: []int{0}},
 		chp.Options{}, 1<<20)
 	if err != nil {
 		log.Fatal(err)

@@ -4,15 +4,19 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
+	"time"
 
 	"multival/internal/mcl"
 	"multival/internal/xstream"
 )
 
 func main() {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
 	// ---- Functional verification: hunt the protocol bugs ----
 	fmt.Println("functional verification of the credited queue:")
 	for _, v := range []struct {
@@ -48,7 +52,7 @@ func main() {
 	fmt.Println("  capacity  load  mean-occupancy  P(full)  throughput  latency")
 	for _, capacity := range []int{4, 16} {
 		for _, rho := range []float64{0.5, 0.9, 1.3} {
-			res, err := xstream.Evaluate(xstream.PerfConfig{
+			res, err := xstream.Evaluate(ctx, xstream.PerfConfig{
 				Capacity: capacity, ArrivalRate: rho * 2, ServiceRate: 2,
 			})
 			if err != nil {
@@ -61,7 +65,7 @@ func main() {
 	}
 
 	// Occupancy histogram at heavy load.
-	res, err := xstream.Evaluate(xstream.PerfConfig{Capacity: 8, ArrivalRate: 1.8, ServiceRate: 2})
+	res, err := xstream.Evaluate(ctx, xstream.PerfConfig{Capacity: 8, ArrivalRate: 1.8, ServiceRate: 2})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 	"multival/internal/aut"
 	"multival/internal/bisim"
 	"multival/internal/chp"
-	"multival/internal/compose"
 	"multival/internal/faust"
 	"multival/internal/imc"
 	"multival/internal/lotos"
@@ -40,7 +39,7 @@ func TestFullVerificationPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := sys.Generate(process.GenOptions{})
+	l, err := sys.GenerateCtx(context.Background(), process.GenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,13 +50,13 @@ func TestFullVerificationPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bisim.Equivalent(l, reloaded, bisim.Strong) {
+	if !equivalent(l, reloaded, bisim.Strong) {
 		t.Fatal("serialization changed behaviour")
 	}
 
 	// Minimize: the protocol is a simple work loop; its branching
 	// quotient is a single-action cycle.
-	q, _ := bisim.Minimize(reloaded, bisim.Branching)
+	q, _ := minimize(reloaded, bisim.Branching)
 	if q.NumStates() > l.NumStates() {
 		t.Fatal("minimization grew")
 	}
@@ -73,12 +72,12 @@ func TestFullVerificationPipeline(t *testing.T) {
 // lump -> steady state + transient + first-passage, with Little's-law
 // consistency.
 func TestFullPerformancePipeline(t *testing.T) {
-	m, err := FromLOTOS(`
+	m, err := NewEngine().FromLOTOS(ctxBg(), `
 	process Station :=
 	    job_s ; job_e ; done ; Station
 	endproc
 	behaviour Station
-	`, 0)
+	`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +142,7 @@ func TestCHPToVerificationToPerformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := sys.Generate(process.GenOptions{})
+	l, err := sys.GenerateCtx(context.Background(), process.GenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +152,7 @@ func TestCHPToVerificationToPerformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := pm.MaximalProgress().ToCTMC(nil)
+	res, err := pm.MaximalProgress().ToCTMCCtx(context.Background(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,8 +191,8 @@ func TestCaseStudyCrossCheck(t *testing.T) {
 		}
 	})
 	counting := xstream.CountingModel(2)
-	if !bisim.Equivalent(iface, counting, bisim.Trace) {
-		res := bisim.Compare(iface, counting, bisim.Trace)
+	if !equivalent(iface, counting, bisim.Trace) {
+		res := compareLTS(iface, counting, bisim.Trace)
 		t.Fatalf("credit-level and counting queue disagree; trace: %v", res.Counterexample)
 	}
 }
@@ -201,11 +200,11 @@ func TestCaseStudyCrossCheck(t *testing.T) {
 // TestRouterCompositionalVerification: verify the FAUST router through
 // the compositional pipeline and confirm it matches the monolithic LTS.
 func TestRouterCompositionalVerification(t *testing.T) {
-	mono, err := faust.RouterLTS(faust.RouterConfig{Ports: 2}, chp.Options{}, 1<<20)
+	mono, err := faust.RouterLTS(context.Background(), faust.RouterConfig{Ports: 2}, chp.Options{}, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	monoMin, _ := bisim.Minimize(mono, bisim.Branching)
+	monoMin, _ := minimize(mono, bisim.Branching)
 	if !mcl.MustCheck(monoMin, mcl.DeadlockFree()) {
 		t.Fatal("router deadlocked after minimization")
 	}
@@ -218,7 +217,7 @@ func TestRouterCompositionalVerification(t *testing.T) {
 // TestDecorationStylesAgree: direct rate decoration and compositional
 // phase-type decoration (1-phase) give the same chain.
 func TestDecorationStylesAgree(t *testing.T) {
-	m, err := FromLOTOS("process W := work_s ; work_e ; done ; W endproc behaviour W", 0)
+	m, err := NewEngine().FromLOTOS(ctxBg(), "process W := work_s ; work_e ; done ; W endproc behaviour W")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +253,7 @@ func TestSmartReduceOnCaseStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	smart, _, err := compose.SmartReduce(net, bisim.Branching)
+	smart, _, err := smartReduce(net, bisim.Branching)
 	if err != nil {
 		t.Fatal(err)
 	}

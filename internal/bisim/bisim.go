@@ -52,32 +52,9 @@ func (r Relation) String() string {
 	}
 }
 
-// Partition computes the coarsest partition of the states of l that is
-// stable for the relation r (r must be Strong, Branching or DivBranching).
-// The result maps each state to a dense block index; block ids are assigned
-// in order of first occurrence by ascending state number, so the partition
-// is deterministic.
-//
-// Partition freezes l into its CSR form and runs the parallel
-// signature-refinement engine with default options; it is a thin wrapper
-// over PartitionFrozen. PartitionSeq is the sequential reference
-// implementation, kept for differential testing and benchmarking.
-func Partition(l *lts.LTS, r Relation) []int {
-	return PartitionOpt(l, r, Options{})
-}
-
-// PartitionOpt is Partition with explicit engine options.
-func PartitionOpt(l *lts.LTS, r Relation, opt Options) []int {
-	switch r {
-	case Strong, Branching, DivBranching:
-	default:
-		panic("bisim: Partition requires Strong, Branching or DivBranching")
-	}
-	return PartitionFrozen(l.Freeze(), r, opt)
-}
-
-// PartitionSeq is the sequential reference implementation of Partition.
-// It produces exactly the same block assignment as the parallel engine.
+// PartitionSeq is the sequential reference implementation of
+// PartitionFrozenCtx, kept for differential testing and benchmarking. It
+// produces exactly the same block assignment as the parallel engine.
 func PartitionSeq(l *lts.LTS, r Relation) []int {
 	switch r {
 	case Strong, Branching, DivBranching:

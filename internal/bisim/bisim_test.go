@@ -34,13 +34,13 @@ func abac() *lts.LTS {
 
 func TestClassicStrongVsTrace(t *testing.T) {
 	p, q := abc(), abac()
-	if Equivalent(p, q, Strong) {
+	if equivalent(p, q, Strong) {
 		t.Error("a.(b+c) and a.b+a.c must NOT be strongly bisimilar")
 	}
-	if Equivalent(p, q, Branching) {
+	if equivalent(p, q, Branching) {
 		t.Error("a.(b+c) and a.b+a.c must NOT be branching bisimilar")
 	}
-	if !Equivalent(p, q, Trace) {
+	if !equivalent(p, q, Trace) {
 		t.Error("a.(b+c) and a.b+a.c must be trace equivalent")
 	}
 }
@@ -50,11 +50,11 @@ func TestStrongMergesDuplicates(t *testing.T) {
 	l := build(5, 0, [][3]interface{}{
 		{0, "a", 1}, {0, "a", 2}, {1, "b", 3}, {2, "b", 4},
 	})
-	q, _ := Minimize(l, Strong)
+	q, _ := minimize(l, Strong)
 	if q.NumStates() != 3 {
 		t.Fatalf("minimized to %d states, want 3\n%s", q.NumStates(), q.Dump())
 	}
-	if !Equivalent(l, q, Strong) {
+	if !equivalent(l, q, Strong) {
 		t.Fatal("quotient not strongly equivalent to original")
 	}
 }
@@ -63,13 +63,13 @@ func TestBranchingAbstractsInertTau(t *testing.T) {
 	// 0 -tau-> 1 -a-> 2 is branching equivalent to 0 -a-> 1.
 	p := build(3, 0, [][3]interface{}{{0, lts.Tau, 1}, {1, "a", 2}})
 	q := build(2, 0, [][3]interface{}{{0, "a", 1}})
-	if !Equivalent(p, q, Branching) {
+	if !equivalent(p, q, Branching) {
 		t.Error("inert tau prefix must be branching-invisible")
 	}
-	if Equivalent(p, q, Strong) {
+	if equivalent(p, q, Strong) {
 		t.Error("tau prefix must be visible to strong bisimulation")
 	}
-	m, _ := Minimize(p, Branching)
+	m, _ := minimize(p, Branching)
 	if m.NumStates() != 2 {
 		t.Fatalf("branching quotient has %d states, want 2\n%s", m.NumStates(), m.Dump())
 	}
@@ -84,7 +84,7 @@ func TestBranchingNonInertTauKept(t *testing.T) {
 	q := build(3, 0, [][3]interface{}{
 		{0, "a", 1}, {0, "b", 2},
 	})
-	if Equivalent(p, q, Branching) {
+	if equivalent(p, q, Branching) {
 		t.Error("non-inert tau choice must be preserved by branching bisim")
 	}
 }
@@ -93,14 +93,14 @@ func TestDivergencePreservation(t *testing.T) {
 	// 0 -a-> 1 with a tau self-loop on 1, versus plain 0 -a-> 1.
 	p := build(2, 0, [][3]interface{}{{0, "a", 1}, {1, lts.Tau, 1}})
 	q := build(2, 0, [][3]interface{}{{0, "a", 1}})
-	if !Equivalent(p, q, Branching) {
+	if !equivalent(p, q, Branching) {
 		t.Error("plain branching bisim ignores divergence")
 	}
-	if Equivalent(p, q, DivBranching) {
+	if equivalent(p, q, DivBranching) {
 		t.Error("divbranching must distinguish divergent state")
 	}
 	// Divergence marker survives minimization as a tau self-loop.
-	m, _ := Minimize(p, DivBranching)
+	m, _ := minimize(p, DivBranching)
 	found := false
 	m.EachTransition(func(tr lts.Transition) {
 		if m.IsTau(tr.Label) && tr.Src == tr.Dst {
@@ -118,10 +118,10 @@ func TestDivBranchingTauCycleAcrossStates(t *testing.T) {
 		{0, "a", 1}, {1, lts.Tau, 2}, {2, lts.Tau, 1},
 	})
 	q := build(2, 0, [][3]interface{}{{0, "a", 1}})
-	if Equivalent(p, q, DivBranching) {
+	if equivalent(p, q, DivBranching) {
 		t.Error("tau cycle must be seen by divbranching")
 	}
-	if !Equivalent(p, q, Branching) {
+	if !equivalent(p, q, Branching) {
 		t.Error("tau cycle invisible to plain branching")
 	}
 }
@@ -133,8 +133,8 @@ func TestMinimizeIdempotent(t *testing.T) {
 			l := lts.Random(rng, lts.RandomConfig{
 				States: 20, Labels: 3, Density: 2, TauProb: 0.3, Connect: true,
 			})
-			m1, _ := Minimize(l, r)
-			m2, _ := Minimize(m1, r)
+			m1, _ := minimize(l, r)
+			m2, _ := minimize(m1, r)
 			if m1.NumStates() != m2.NumStates() || m1.NumTransitions() != m2.NumTransitions() {
 				t.Fatalf("%v: minimize not idempotent: %d/%d -> %d/%d", r,
 					m1.NumStates(), m1.NumTransitions(), m2.NumStates(), m2.NumTransitions())
@@ -150,8 +150,8 @@ func TestQuotientEquivalentToOriginal(t *testing.T) {
 			l := lts.Random(rng, lts.RandomConfig{
 				States: 15, Labels: 3, Density: 2, TauProb: 0.25, Connect: true,
 			})
-			q, _ := Minimize(l, r)
-			if !Equivalent(l, q, r) {
+			q, _ := minimize(l, r)
+			if !equivalent(l, q, r) {
 				t.Fatalf("%v: quotient not equivalent to original (seed %d)", r, i)
 			}
 		}
@@ -164,10 +164,10 @@ func TestEquivalentReflexiveSymmetric(t *testing.T) {
 		a := lts.Random(rng, lts.RandomConfig{States: 10, Labels: 2, Density: 2, TauProb: 0.2, Connect: true})
 		b := lts.Random(rng, lts.RandomConfig{States: 10, Labels: 2, Density: 2, TauProb: 0.2, Connect: true})
 		for _, r := range []Relation{Strong, Branching, DivBranching, Trace} {
-			if !Equivalent(a, a, r) {
+			if !equivalent(a, a, r) {
 				t.Fatalf("%v not reflexive", r)
 			}
-			if Equivalent(a, b, r) != Equivalent(b, a, r) {
+			if equivalent(a, b, r) != equivalent(b, a, r) {
 				t.Fatalf("%v not symmetric", r)
 			}
 		}
@@ -179,9 +179,9 @@ func TestStrongImpliesBranchingImpliesTrace(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		a := lts.Random(rng, lts.RandomConfig{States: 8, Labels: 2, Density: 1.8, TauProb: 0.25, Connect: true})
 		b := lts.Random(rng, lts.RandomConfig{States: 8, Labels: 2, Density: 1.8, TauProb: 0.25, Connect: true})
-		strong := Equivalent(a, b, Strong)
-		branching := Equivalent(a, b, Branching)
-		trace := Equivalent(a, b, Trace)
+		strong := equivalent(a, b, Strong)
+		branching := equivalent(a, b, Branching)
+		trace := equivalent(a, b, Trace)
 		if strong && !branching {
 			t.Fatal("strong equivalence must imply branching equivalence")
 		}
@@ -196,9 +196,9 @@ func TestMinimizationOrdering(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for i := 0; i < 20; i++ {
 		l := lts.Random(rng, lts.RandomConfig{States: 25, Labels: 3, Density: 2, TauProb: 0.3, Connect: true})
-		s, _ := Minimize(l, Strong)
-		br, _ := Minimize(l, Branching)
-		db, _ := Minimize(l, DivBranching)
+		s, _ := minimize(l, Strong)
+		br, _ := minimize(l, Branching)
+		db, _ := minimize(l, DivBranching)
 		if br.NumStates() > s.NumStates() {
 			t.Fatalf("branching quotient (%d) larger than strong (%d)", br.NumStates(), s.NumStates())
 		}
@@ -214,7 +214,7 @@ func TestMinimizationOrdering(t *testing.T) {
 func TestCompareCounterexample(t *testing.T) {
 	p := build(2, 0, [][3]interface{}{{0, "a", 1}})
 	q := build(2, 0, [][3]interface{}{{0, "b", 1}})
-	res := Compare(p, q, Trace)
+	res := compare(p, q, Trace)
 	if res.Equivalent {
 		t.Fatal("a and b traces equal?")
 	}
@@ -249,10 +249,10 @@ func TestDistinguishingTraceNilWhenEquivalent(t *testing.T) {
 func TestPartitionRejectsTrace(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Partition(Trace) should panic")
+			t.Fatal("partition(Trace) should panic")
 		}
 	}()
-	Partition(abc(), Trace)
+	partition(abc(), Trace)
 }
 
 func TestRelationString(t *testing.T) {
@@ -273,10 +273,10 @@ func TestTauOnlyCycleMinimization(t *testing.T) {
 	cyc := build(2, 0, [][3]interface{}{{0, lts.Tau, 1}, {1, lts.Tau, 0}})
 	dead := lts.New("dead")
 	dead.AddState()
-	if !Equivalent(cyc, dead, Branching) {
+	if !equivalent(cyc, dead, Branching) {
 		t.Error("pure tau cycle should be branching-equivalent to deadlock")
 	}
-	if Equivalent(cyc, dead, DivBranching) {
+	if equivalent(cyc, dead, DivBranching) {
 		t.Error("divbranching must distinguish livelock from deadlock")
 	}
 }
@@ -321,7 +321,7 @@ func TestStrongBisimImpliesMutualSimulation(t *testing.T) {
 	for i := 0; i < 25; i++ {
 		a := lts.Random(rng, lts.RandomConfig{States: 8, Labels: 2, Density: 1.8, Connect: true})
 		b := lts.Random(rng, lts.RandomConfig{States: 8, Labels: 2, Density: 1.8, Connect: true})
-		if Equivalent(a, b, Strong) && !SimulationEquivalent(a, b) {
+		if equivalent(a, b, Strong) && !SimulationEquivalent(a, b) {
 			t.Fatal("strong bisimilarity must imply mutual simulation")
 		}
 		// Reflexivity.

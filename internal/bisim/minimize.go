@@ -8,31 +8,16 @@ import (
 	"multival/internal/lts"
 )
 
-// Minimize returns the quotient of l modulo the relation r, together with
-// the mapping state -> block. The quotient has one state per block of the
-// coarsest stable partition; for branching relations, inert tau transitions
-// disappear (except divergence self-loops under DivBranching).
-//
+// MinimizeCtx returns the quotient of l modulo the relation r, together
+// with the mapping state -> block. The quotient has one state per block of
+// the coarsest stable partition; for branching relations, inert tau
+// transitions disappear (except divergence self-loops under DivBranching).
 // For Trace, the LTS is determinized first and the result is the minimal
-// deterministic LTS for the weak-trace language.
-func Minimize(l *lts.LTS, r Relation) (*lts.LTS, []int) {
-	return MinimizeOpt(l, r, Options{})
-}
-
-// MinimizeOpt is Minimize with explicit engine options (worker count of
-// the parallel refinement).
-func MinimizeOpt(l *lts.LTS, r Relation, opt Options) (*lts.LTS, []int) {
-	q, block, err := MinimizeCtx(context.Background(), l, r, opt)
-	if err != nil {
-		// Unreachable: a background context never cancels.
-		panic(err)
-	}
-	return q, block
-}
-
-// MinimizeCtx is MinimizeOpt with cancellation: refinement checks ctx at
-// every round boundary and the call returns ctx.Err() (wrapped) when the
-// context is done.
+// deterministic LTS for the weak-trace language (with a nil block map).
+//
+// Refinement runs on the parallel engine configured by opt and checks ctx
+// at every round boundary, returning ctx.Err() (wrapped) when the context
+// is done.
 func MinimizeCtx(ctx context.Context, l *lts.LTS, r Relation, opt Options) (*lts.LTS, []int, error) {
 	if r == Trace {
 		d := l.Determinize()
@@ -113,22 +98,8 @@ func quotient(l *lts.LTS, block []int, r Relation) *lts.LTS {
 	return trimmed
 }
 
-// Equivalent reports whether the initial states of a and b are related by r.
-func Equivalent(a, b *lts.LTS, r Relation) bool {
-	return EquivalentOpt(a, b, r, Options{})
-}
-
-// EquivalentOpt is Equivalent with explicit engine options.
-func EquivalentOpt(a, b *lts.LTS, r Relation, opt Options) bool {
-	eq, err := EquivalentCtx(context.Background(), a, b, r, opt)
-	if err != nil {
-		// Unreachable: a background context never cancels.
-		panic(err)
-	}
-	return eq
-}
-
-// EquivalentCtx is Equivalent with cancellation (see MinimizeCtx).
+// EquivalentCtx reports whether the initial states of a and b are related
+// by r, observing ctx at every refinement round (see MinimizeCtx).
 func EquivalentCtx(ctx context.Context, a, b *lts.LTS, r Relation, opt Options) (bool, error) {
 	if r == Trace {
 		da, db := a.Determinize(), b.Determinize()
@@ -161,7 +132,7 @@ func DisjointUnion(a, b *lts.LTS) (u *lts.LTS, initA, initB lts.State) {
 	return u, a.Initial(), b.Initial() + off
 }
 
-// CompareResult reports the outcome of a Compare call.
+// CompareResult reports the outcome of a CompareCtx call.
 type CompareResult struct {
 	Relation   Relation
 	Equivalent bool
@@ -171,27 +142,13 @@ type CompareResult struct {
 	Counterexample []string
 }
 
-// Compare checks equivalence and, when the LTSs differ, attempts to produce
-// a distinguishing trace: a sequence of visible actions possible in exactly
-// one of the two systems. A distinguishing trace always exists for Trace;
-// for the bisimulations it exists only when the trace sets already differ
-// (bisimulation is finer than trace equivalence), so it may be nil even for
-// inequivalent systems.
-func Compare(a, b *lts.LTS, r Relation) CompareResult {
-	return CompareOpt(a, b, r, Options{})
-}
-
-// CompareOpt is Compare with explicit engine options.
-func CompareOpt(a, b *lts.LTS, r Relation, opt Options) CompareResult {
-	res, err := CompareCtx(context.Background(), a, b, r, opt)
-	if err != nil {
-		// Unreachable: a background context never cancels.
-		panic(err)
-	}
-	return res
-}
-
-// CompareCtx is Compare with cancellation (see MinimizeCtx).
+// CompareCtx checks equivalence and, when the LTSs differ, attempts to
+// produce a distinguishing trace: a sequence of visible actions possible in
+// exactly one of the two systems. A distinguishing trace always exists for
+// Trace; for the bisimulations it exists only when the trace sets already
+// differ (bisimulation is finer than trace equivalence), so it may be nil
+// even for inequivalent systems. Refinement observes ctx at every round
+// (see MinimizeCtx).
 func CompareCtx(ctx context.Context, a, b *lts.LTS, r Relation, opt Options) (CompareResult, error) {
 	eq, err := EquivalentCtx(ctx, a, b, r, opt)
 	if err != nil {

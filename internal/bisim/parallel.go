@@ -66,26 +66,18 @@ func parallelStates(n, workers int, body func(worker, lo, hi int)) {
 	wg.Wait()
 }
 
-// PartitionFrozen computes the coarsest stable partition of a frozen LTS
-// for r (Strong, Branching or DivBranching) using signature-based
-// refinement (Blom & Orzan) over the CSR form: every round the per-state
-// signatures are computed by a worker pool in parallel shards, then block
-// ids are assigned in a deterministic sequential sweep so the result is
-// identical to the sequential reference (PartitionSeq) regardless of the
-// worker count. It is PartitionFrozenCtx without cancellation.
-func PartitionFrozen(f *lts.Frozen, r Relation, opt Options) []int {
-	block, err := PartitionFrozenCtx(context.Background(), f, r, opt)
-	if err != nil {
-		// Unreachable: a background context never cancels.
-		panic(err)
-	}
-	return block
-}
-
-// PartitionFrozenCtx is PartitionFrozen with cancellation: the refinement
-// loop checks ctx at every round boundary and returns ctx.Err() (wrapped)
-// when the context is done, so a deadline or cancel aborts refinement
-// within one round. opt.Progress observes each round.
+// PartitionFrozenCtx computes the coarsest stable partition of a frozen
+// LTS for r (Strong, Branching or DivBranching) using signature-based
+// refinement (Blom & Orzan) over the CSR form. The result maps each state
+// to a dense block index, assigned in order of first occurrence by
+// ascending state number. Every round the per-state signatures are
+// computed by a worker pool in parallel shards, then block ids are
+// assigned in a deterministic sequential sweep, so the result is identical
+// to the sequential reference (PartitionSeq) regardless of the worker
+// count. The refinement loop checks ctx at every round boundary and
+// returns ctx.Err() (wrapped) when the context is done, so a deadline or
+// cancel aborts refinement within one round. opt.Progress observes each
+// round.
 func PartitionFrozenCtx(ctx context.Context, f *lts.Frozen, r Relation, opt Options) ([]int, error) {
 	switch r {
 	case Strong, Branching, DivBranching:

@@ -19,7 +19,7 @@ func TestQuickParallelMatchesSequential(t *testing.T) {
 				want := PartitionSeq(rl.L, r)
 				f := rl.L.Freeze()
 				for _, workers := range []int{1, 2, 4, 7} {
-					got := PartitionFrozen(f, r, Options{Workers: workers})
+					got := partitionFrozen(f, r, Options{Workers: workers})
 					if len(got) != len(want) {
 						return false
 					}
@@ -58,7 +58,7 @@ func TestParallelSmallChunkDifferential(t *testing.T) {
 		f := l.Freeze()
 		for _, r := range []Relation{Strong, Branching, DivBranching} {
 			want := PartitionSeq(l, r)
-			got := PartitionFrozen(f, r, Options{Workers: 8})
+			got := partitionFrozen(f, r, Options{Workers: 8})
 			for i := range got {
 				if got[i] != want[i] {
 					t.Fatalf("trial %d %v: state %d: block %d vs %d",
@@ -85,7 +85,7 @@ func TestParallelMultiRoundDifferential(t *testing.T) {
 		f := l.Freeze()
 		for _, r := range []Relation{Strong, Branching, DivBranching} {
 			want := PartitionSeq(l, r)
-			got := PartitionFrozen(f, r, Options{Workers: 8})
+			got := partitionFrozen(f, r, Options{Workers: 8})
 			for i := range got {
 				if got[i] != want[i] {
 					t.Fatalf("seed %d %v: state %d: block %d vs %d",
@@ -113,7 +113,7 @@ func TestParallelMatchesSequentialLarge(t *testing.T) {
 	})
 	for _, r := range []Relation{Strong, Branching} {
 		want := PartitionSeq(l, r)
-		got := Partition(l, r)
+		got := partition(l, r)
 		if len(got) != len(want) {
 			t.Fatalf("%v: length mismatch", r)
 		}
@@ -130,11 +130,11 @@ func TestParallelMatchesSequentialLarge(t *testing.T) {
 func TestMinimizeParallelQuotientEquivalent(t *testing.T) {
 	prop := func(rl randLTS) bool {
 		for _, r := range []Relation{Strong, Branching} {
-			q, _ := MinimizeOpt(rl.L, r, Options{Workers: 4})
+			q, _ := minimizeOpt(rl.L, r, Options{Workers: 4})
 			if q.NumStates() == 0 {
 				return rl.L.NumStates() == 0
 			}
-			if !Equivalent(rl.L, q, r) {
+			if !equivalent(rl.L, q, r) {
 				return false
 			}
 		}

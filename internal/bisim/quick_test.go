@@ -34,8 +34,8 @@ func TestQuickQuotientEquivalent(t *testing.T) {
 	for _, rel := range []Relation{Strong, Branching, DivBranching} {
 		rel := rel
 		prop := func(r randLTS) bool {
-			q, _ := Minimize(r.L, rel)
-			return Equivalent(r.L, q, rel)
+			q, _ := minimize(r.L, rel)
+			return equivalent(r.L, q, rel)
 		}
 		if err := quick.Check(prop, cfg()); err != nil {
 			t.Errorf("%v: %v", rel, err)
@@ -47,8 +47,8 @@ func TestQuickMinimizeIdempotent(t *testing.T) {
 	for _, rel := range []Relation{Strong, Branching, DivBranching} {
 		rel := rel
 		prop := func(r randLTS) bool {
-			q1, _ := Minimize(r.L, rel)
-			q2, _ := Minimize(q1, rel)
+			q1, _ := minimize(r.L, rel)
+			q2, _ := minimize(q1, rel)
 			return q1.NumStates() == q2.NumStates() &&
 				q1.NumTransitions() == q2.NumTransitions()
 		}
@@ -61,10 +61,10 @@ func TestQuickMinimizeIdempotent(t *testing.T) {
 func TestQuickRelationInclusions(t *testing.T) {
 	// Strong ⟹ DivBranching ⟹ Branching ⟹ Trace, on pairs.
 	prop := func(a, b randLTS) bool {
-		if Equivalent(a.L, b.L, Strong) && !Equivalent(a.L, b.L, DivBranching) {
+		if equivalent(a.L, b.L, Strong) && !equivalent(a.L, b.L, DivBranching) {
 			return false
 		}
-		if Equivalent(a.L, b.L, DivBranching) && !Equivalent(a.L, b.L, Branching) {
+		if equivalent(a.L, b.L, DivBranching) && !equivalent(a.L, b.L, Branching) {
 			return false
 		}
 		trimA, _ := a.L.Trim()
@@ -72,7 +72,7 @@ func TestQuickRelationInclusions(t *testing.T) {
 		if trimA.NumStates() > 10 || trimB.NumStates() > 10 {
 			return true // keep trace (determinization) cheap
 		}
-		if Equivalent(a.L, b.L, Branching) && !Equivalent(a.L, b.L, Trace) {
+		if equivalent(a.L, b.L, Branching) && !equivalent(a.L, b.L, Trace) {
 			return false
 		}
 		return true
@@ -85,9 +85,9 @@ func TestQuickRelationInclusions(t *testing.T) {
 func TestQuickQuotientOrdering(t *testing.T) {
 	// Coarser relations yield smaller (or equal) quotients.
 	prop := func(r randLTS) bool {
-		s, _ := Minimize(r.L, Strong)
-		db, _ := Minimize(r.L, DivBranching)
-		br, _ := Minimize(r.L, Branching)
+		s, _ := minimize(r.L, Strong)
+		db, _ := minimize(r.L, DivBranching)
+		br, _ := minimize(r.L, Branching)
 		return br.NumStates() <= db.NumStates() && db.NumStates() <= s.NumStates()
 	}
 	if err := quick.Check(prop, cfg()); err != nil {
@@ -99,8 +99,8 @@ func TestQuickPartitionIsEquivalenceInvariant(t *testing.T) {
 	// Two states in the same block of the strong partition must remain
 	// in the same block after minimizing (block of block).
 	prop := func(r randLTS) bool {
-		block := Partition(r.L, Strong)
-		q, mapping := Minimize(r.L, Strong)
+		block := partition(r.L, Strong)
+		q, mapping := minimize(r.L, Strong)
 		_ = q
 		for s := 0; s < r.L.NumStates(); s++ {
 			for u := s + 1; u < r.L.NumStates(); u++ {
@@ -123,7 +123,7 @@ func TestQuickAutRoundtripPreservesEquivalence(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return Equivalent(r.L, got, Strong)
+		return equivalent(r.L, got, Strong)
 	}
 	if err := quick.Check(prop, cfg()); err != nil {
 		t.Error(err)

@@ -1,6 +1,7 @@
 package chp
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -16,7 +17,7 @@ func translate(t *testing.T, procs []*Process, opts Options) *lts.LTS {
 	if err != nil {
 		t.Fatalf("Translate: %v", err)
 	}
-	l, err := sys.Generate(process.GenOptions{MaxStates: 200000})
+	l, err := sys.GenerateCtx(context.Background(), process.GenOptions{MaxStates: 200000})
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
@@ -81,7 +82,7 @@ func TestAssignThreadsState(t *testing.T) {
 		}},
 	}
 	l := translate(t, []*Process{p}, Options{})
-	q, _ := bisim.Minimize(l, bisim.Strong)
+	q, _ := minimize(l, bisim.Strong)
 	if q.NumStates() != 3 {
 		t.Fatalf("counter should have 3 states, got %d\n%s", q.NumStates(), q.Dump())
 	}
@@ -151,7 +152,7 @@ func TestHandshakeExpansion(t *testing.T) {
 		}
 		return lab
 	})
-	if !bisim.Equivalent(plain, expanded, bisim.Trace) {
+	if !equivalent(plain, expanded, bisim.Trace) {
 		t.Fatal("handshake expansion changed observable traces")
 	}
 }
@@ -243,11 +244,29 @@ func TestRecvDomainOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := sys.Generate(process.GenOptions{})
+	l, err := sys.GenerateCtx(context.Background(), process.GenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if l.LookupLabel("c !1") < 0 {
 		t.Fatalf("labels = %v", l.Labels())
 	}
+}
+
+// minimize is bisim.MinimizeCtx without cancellation.
+func minimize(l *lts.LTS, rel bisim.Relation) (*lts.LTS, []int) {
+	q, block, err := bisim.MinimizeCtx(context.Background(), l, rel, bisim.Options{})
+	if err != nil {
+		panic(err)
+	}
+	return q, block
+}
+
+// equivalent is bisim.EquivalentCtx without cancellation.
+func equivalent(a, b *lts.LTS, rel bisim.Relation) bool {
+	eq, err := bisim.EquivalentCtx(context.Background(), a, b, rel, bisim.Options{})
+	if err != nil {
+		panic(err)
+	}
+	return eq
 }

@@ -27,7 +27,7 @@ func TestPairInterleaving(t *testing.T) {
 	b := lts.New("b")
 	b.AddStates(2)
 	b.AddTransition(0, "y", 1)
-	p, err := Pair(a, b, nil, 0)
+	p, err := pair(a, b, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestPairSync(t *testing.T) {
 	b.AddStates(3)
 	b.AddTransition(0, "y", 1)
 	b.AddTransition(1, "s", 2)
-	p, err := Pair(a, b, []string{"s"}, 0)
+	p, err := pair(a, b, []string{"s"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestMultiwaySync(t *testing.T) {
 		return l
 	}
 	n := &Network{Components: []*lts.LTS{mk(), mk(), mk()}, Sync: []string{"s"}}
-	p, err := n.Generate()
+	p, err := n.generate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestSyncWithValues(t *testing.T) {
 		Components: []*lts.LTS{prod, buf("c", "d")},
 		Sync:       []string{"c"},
 	}
-	p, err := n.Generate()
+	p, err := n.generate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestHideInProduct(t *testing.T) {
 	b.AddStates(2)
 	b.AddTransition(0, "m", 1)
 	n := &Network{Components: []*lts.LTS{a, b}, Sync: []string{"m"}, Hide: []string{"m"}}
-	p, err := n.Generate()
+	p, err := n.generate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,16 +127,16 @@ func TestExplosionBound(t *testing.T) {
 		comps = append(comps, l)
 	}
 	n := &Network{Components: comps, MaxStates: 100}
-	if _, err := n.Generate(); err == nil {
+	if _, err := n.generate(); err == nil {
 		t.Fatal("explosion not detected")
 	}
 }
 
 func TestEmptyNetworkErrors(t *testing.T) {
-	if _, err := (&Network{}).Generate(); err == nil {
+	if _, err := (&Network{}).generate(); err == nil {
 		t.Fatal("empty network accepted")
 	}
-	if _, _, err := SmartReduce(&Network{}, bisim.Branching); err == nil {
+	if _, _, err := smartReduce(&Network{}, bisim.Branching); err == nil {
 		t.Fatal("empty network accepted by SmartReduce")
 	}
 }
@@ -160,15 +160,15 @@ func pipeline(nbuf int) *Network {
 func TestSmartReduceMatchesMonolithic(t *testing.T) {
 	for _, nbuf := range []int{2, 3, 4} {
 		n := pipeline(nbuf)
-		mono, _, err := Monolithic(n, bisim.Branching)
+		mono, _, err := monolithic(n, bisim.Branching)
 		if err != nil {
 			t.Fatal(err)
 		}
-		smart, rep, err := SmartReduce(n, bisim.Branching)
+		smart, rep, err := smartReduce(n, bisim.Branching)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bisim.Equivalent(mono, smart, bisim.Branching) {
+		if !equivalent(mono, smart, bisim.Branching) {
 			t.Fatalf("n=%d: smart reduction changed behaviour", nbuf)
 		}
 		if rep.PeakStates == 0 || len(rep.Steps) == 0 {
@@ -181,11 +181,11 @@ func TestSmartReducePeakSmaller(t *testing.T) {
 	// For a longer pipeline the compositional peak must be strictly
 	// smaller than the monolithic product.
 	n := pipeline(5)
-	_, monoRep, err := Monolithic(n, bisim.Branching)
+	_, monoRep, err := monolithic(n, bisim.Branching)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, smartRep, err := SmartReduce(n, bisim.Branching)
+	_, smartRep, err := smartReduce(n, bisim.Branching)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,11 +197,11 @@ func TestSmartReducePeakSmaller(t *testing.T) {
 
 func TestSmartReduceDeterministic(t *testing.T) {
 	n := pipeline(3)
-	a, _, err := SmartReduce(n, bisim.Branching)
+	a, _, err := smartReduce(n, bisim.Branching)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := SmartReduce(pipeline(3), bisim.Branching)
+	b, _, err := smartReduce(pipeline(3), bisim.Branching)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,11 +219,11 @@ func TestProductAgreesWithProcessCalculus(t *testing.T) {
 			process.Act(out, []process.Offer{process.Send(process.V("x"))},
 				process.Call{Proc: "B"})))
 		sys.SetRoot(process.Call{Proc: "B"})
-		return sys.MustGenerate(process.GenOptions{})
+		return mustGenerate(sys)
 	}
 	b1 := mkBuf("a", "m")
 	b2 := mkBuf("m", "z")
-	lvl, err := Pair(b1, b2, []string{"m"}, 0)
+	lvl, err := pair(b1, b2, []string{"m"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,9 +236,9 @@ func TestProductAgreesWithProcessCalculus(t *testing.T) {
 	sys.Define("B2", nil, process.Act("m", []process.Offer{process.Recv("x", 0, 1)},
 		process.Act("z", []process.Offer{process.Send(process.V("x"))}, process.Call{Proc: "B2"})))
 	sys.SetRoot(term)
-	direct := sys.MustGenerate(process.GenOptions{})
+	direct := mustGenerate(sys)
 
-	if !bisim.Equivalent(lvl, direct, bisim.Strong) {
+	if !equivalent(lvl, direct, bisim.Strong) {
 		t.Fatal("LTS-level product disagrees with process-calculus parallel composition")
 	}
 }
@@ -252,19 +252,6 @@ func TestSortedLabels(t *testing.T) {
 	}
 }
 
-func TestGateOf(t *testing.T) {
-	cases := map[string]string{
-		"c !1":       "c",
-		"done":       "done",
-		"g !1 !true": "g",
-	}
-	for lab, want := range cases {
-		if got := GateOf(lab); got != want {
-			t.Errorf("GateOf(%q) = %q, want %q", lab, got, want)
-		}
-	}
-}
-
 func TestGateSyncBlocksUnoffered(t *testing.T) {
 	// Gate-based sync: producer uses gate c, so even labels of c it does
 	// not currently offer are blocked for the partner.
@@ -274,7 +261,7 @@ func TestGateSyncBlocksUnoffered(t *testing.T) {
 	free := lts.New("free")
 	free.AddStates(2)
 	free.AddTransition(0, "c !0", 1) // wants c !0, never matched
-	p, err := Pair(prod, free, []string{"c"}, 0)
+	p, err := pair(prod, free, []string{"c"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 	"runtime"
 	"sort"
 
-	"multival/internal/bisim"
 	"multival/internal/engine"
 	"multival/internal/lts"
 )
@@ -32,12 +31,6 @@ type Network struct {
 	// MaxStates bounds product generation (0 = DefaultMaxStates).
 	MaxStates int
 }
-
-// GateOf returns the gate of a transition label: the prefix before the
-// first space ("c !1" -> "c", "done" -> "done").
-//
-// Deprecated: use lts.Gate, the shared helper.
-func GateOf(label string) string { return lts.Gate(label) }
 
 // DefaultMaxStates bounds product generation when MaxStates is zero.
 const DefaultMaxStates = 1 << 20
@@ -76,36 +69,26 @@ func (o GenOptions) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Generate builds the product LTS of the network on the fly: every
-// component is frozen into its CSR form once, and the synchronized product
-// is explored with a reachable-states worklist, so only reachable tuples
-// are ever materialized. Synchronization candidates are located by binary
-// search in the label-sorted CSR rows of the frozen operands. It is
-// GenerateOpt with default options (one shard per core, no cancellation).
-func (n *Network) Generate() (*lts.LTS, error) {
-	return n.GenerateOpt(context.Background(), GenOptions{})
-}
-
 // genCheckEvery is the number of worklist states between cancellation
 // checks and progress reports during product generation.
 const genCheckEvery = 1024
 
-// GenerateCtx is Generate with cancellation and progress observation: the
-// generation checks ctx at worklist chunks (sequential) or exchange
-// rounds (sharded) and returns ctx.Err() (wrapped) when the context is
-// done, so a deadline or cancel aborts the product mid-worklist.
-func (n *Network) GenerateCtx(ctx context.Context, progress engine.ProgressFunc) (*lts.LTS, error) {
-	return n.GenerateOpt(ctx, GenOptions{Progress: progress})
-}
-
-// GenerateOpt is Generate with explicit options. With opt.Workers != 1
-// resolving to more than one shard, the reachable-state frontier is
-// partitioned by tuple hash: each shard owns its slice of the intern map
-// and a local worklist, cross-shard successors are exchanged through
-// per-pair mailboxes drained in rounds (termination is a quiescence
-// check), and a final deterministic renumbering pass makes the result
-// state-for-state identical to the sequential generator — same state
-// numbering, same transition order, same label table — so content
+// GenerateOpt builds the product LTS of the network on the fly: every
+// component is frozen into its CSR form once, and the synchronized product
+// is explored with a reachable-states worklist, so only reachable tuples
+// are ever materialized. Synchronization candidates are located by binary
+// search in the label-sorted CSR rows of the frozen operands. Generation
+// checks ctx at worklist chunks (sequential) or exchange rounds (sharded)
+// and returns ctx.Err() (wrapped) when the context is done, so a deadline
+// or cancel aborts the product mid-worklist.
+//
+// With opt.Workers != 1 resolving to more than one shard, the
+// reachable-state frontier is partitioned by tuple hash: each shard owns
+// its slice of the intern map and a local worklist, cross-shard successors
+// are exchanged through per-pair mailboxes drained in rounds (termination
+// is a quiescence check), and a final deterministic renumbering pass makes
+// the result state-for-state identical to the sequential generator — same
+// state numbering, same transition order, same label table — so content
 // digests (lts.Frozen.Hash) are unaffected by the worker count.
 // Networks whose tuples do not pack into 64 bits (see genPlan.packable)
 // fall back to the sequential generator.
@@ -474,21 +457,4 @@ func toSet(ss []string) map[string]bool {
 		m[s] = true
 	}
 	return m
-}
-
-// Pair composes exactly two LTSs synchronizing on the given labels,
-// hiding nothing. Convenience for tests and incremental composition.
-func Pair(a, b *lts.LTS, sync []string, maxStates int) (*lts.LTS, error) {
-	n := &Network{Components: []*lts.LTS{a, b}, Sync: sync, MaxStates: maxStates}
-	return n.Generate()
-}
-
-// Minimize is a convenience wrapper: generate the product and minimize it.
-func (n *Network) Minimize(rel bisim.Relation) (*lts.LTS, error) {
-	p, err := n.Generate()
-	if err != nil {
-		return nil, err
-	}
-	q, _ := bisim.Minimize(p, rel)
-	return q, nil
 }

@@ -40,12 +40,12 @@ func qcfg() *quick.Config {
 
 func TestQuickProductCommutative(t *testing.T) {
 	prop := func(a, b randComponent) bool {
-		p1, err1 := Pair(a.L, b.L, []string{"g", "h"}, 1<<14)
-		p2, err2 := Pair(b.L, a.L, []string{"g", "h"}, 1<<14)
+		p1, err1 := pair(a.L, b.L, []string{"g", "h"}, 1<<14)
+		p2, err2 := pair(b.L, a.L, []string{"g", "h"}, 1<<14)
 		if err1 != nil || err2 != nil {
 			return err1 != nil && err2 != nil
 		}
-		return bisim.Equivalent(p1, p2, bisim.Strong)
+		return equivalent(p1, p2, bisim.Strong)
 	}
 	if err := quick.Check(prop, qcfg()); err != nil {
 		t.Error(err)
@@ -62,12 +62,12 @@ func TestQuickProductOrderIndependent(t *testing.T) {
 		sync := []string{"g", "h", "k"}
 		n1 := &Network{Components: []*lts.LTS{a.L, b.L, c.L}, Sync: sync, MaxStates: 1 << 14}
 		n2 := &Network{Components: []*lts.LTS{c.L, a.L, b.L}, Sync: sync, MaxStates: 1 << 14}
-		p1, err1 := n1.Generate()
-		p2, err2 := n2.Generate()
+		p1, err1 := n1.generate()
+		p2, err2 := n2.generate()
 		if err1 != nil || err2 != nil {
 			return err1 != nil && err2 != nil
 		}
-		return bisim.Equivalent(p1, p2, bisim.Strong)
+		return equivalent(p1, p2, bisim.Strong)
 	}
 	if err := quick.Check(prop, qcfg()); err != nil {
 		t.Error(err)
@@ -82,12 +82,12 @@ func TestQuickSmartReduceEquivalentToMonolithic(t *testing.T) {
 			Hide:       []string{"h"},
 			MaxStates:  1 << 14,
 		}
-		mono, _, err1 := Monolithic(net, bisim.Branching)
-		smart, _, err2 := SmartReduce(net, bisim.Branching)
+		mono, _, err1 := monolithic(net, bisim.Branching)
+		smart, _, err2 := smartReduce(net, bisim.Branching)
 		if err1 != nil || err2 != nil {
 			return err1 != nil && err2 != nil
 		}
-		return bisim.Equivalent(mono, smart, bisim.Branching)
+		return equivalent(mono, smart, bisim.Branching)
 	}
 	if err := quick.Check(prop, qcfg()); err != nil {
 		t.Error(err)
@@ -96,8 +96,8 @@ func TestQuickSmartReduceEquivalentToMonolithic(t *testing.T) {
 
 func TestQuickProductDeterministicNumbering(t *testing.T) {
 	prop := func(a, b randComponent) bool {
-		p1, err1 := Pair(a.L, b.L, []string{"g"}, 1<<14)
-		p2, err2 := Pair(a.L, b.L, []string{"g"}, 1<<14)
+		p1, err1 := pair(a.L, b.L, []string{"g"}, 1<<14)
+		p2, err2 := pair(a.L, b.L, []string{"g"}, 1<<14)
 		if err1 != nil || err2 != nil {
 			return err1 != nil && err2 != nil
 		}

@@ -32,7 +32,7 @@ func (r *Report) observe(l *lts.LTS, step string) {
 	r.Steps = append(r.Steps, fmt.Sprintf("%s: %d states, %d transitions", step, l.NumStates(), l.NumTransitions()))
 }
 
-// SmartReduce composes the network compositionally: every component is
+// SmartReduceCtx composes the network compositionally: every component is
 // minimized first, then components are composed pairwise (smallest
 // estimated product first); after each composition, labels that no
 // remaining component synchronizes on and that appear in the Hide set are
@@ -41,22 +41,12 @@ func (r *Report) observe(l *lts.LTS, step string) {
 //
 // rel should normally be bisim.Branching (or DivBranching to preserve
 // livelocks); bisim.Strong is sound but reduces less.
-func SmartReduce(n *Network, rel bisim.Relation) (*lts.LTS, *Report, error) {
-	return SmartReduceOpt(n, rel, bisim.Options{})
-}
-
-// SmartReduceOpt is SmartReduce with explicit engine options: every
-// intermediate minimization runs through the shared CSR-backed refinement
-// engine, and every intermediate product generation through the sharded
-// generator, with the given worker configuration.
-func SmartReduceOpt(n *Network, rel bisim.Relation, opt bisim.Options) (*lts.LTS, *Report, error) {
-	return SmartReduceCtx(context.Background(), n, rel, opt)
-}
-
-// SmartReduceCtx is SmartReduce with cancellation: every intermediate
-// product generation and minimization observes ctx (and reports progress
-// through opt.Progress), so a deadline or cancel aborts the compositional
-// strategy between — and inside — its steps.
+//
+// Every intermediate minimization runs through the shared CSR-backed
+// refinement engine, and every intermediate product generation through
+// the sharded generator, with opt's worker configuration. Both observe ctx
+// (and report progress through opt.Progress), so a deadline or cancel
+// aborts the compositional strategy between — and inside — its steps.
 func SmartReduceCtx(ctx context.Context, n *Network, rel bisim.Relation, opt bisim.Options) (*lts.LTS, *Report, error) {
 	if len(n.Components) == 0 {
 		return nil, nil, fmt.Errorf("compose: empty network")
@@ -284,19 +274,10 @@ func dropGates(l *lts.LTS, gates map[string]bool) *lts.LTS {
 	return out
 }
 
-// Monolithic generates the full product, hides, and minimizes, reporting
-// the peak (the unminimized product). This is the baseline compositional
-// verification is compared against (experiment E8).
-func Monolithic(n *Network, rel bisim.Relation) (*lts.LTS, *Report, error) {
-	return MonolithicOpt(n, rel, bisim.Options{})
-}
-
-// MonolithicOpt is Monolithic with explicit engine options.
-func MonolithicOpt(n *Network, rel bisim.Relation, opt bisim.Options) (*lts.LTS, *Report, error) {
-	return MonolithicCtx(context.Background(), n, rel, opt)
-}
-
-// MonolithicCtx is Monolithic with cancellation (see SmartReduceCtx).
+// MonolithicCtx generates the full product, hides, and minimizes,
+// reporting the peak (the unminimized product). This is the baseline
+// compositional verification is compared against (experiment E8).
+// Generation and minimization observe ctx and opt as in SmartReduceCtx.
 func MonolithicCtx(ctx context.Context, n *Network, rel bisim.Relation, opt bisim.Options) (*lts.LTS, *Report, error) {
 	report := &Report{}
 	prod, err := n.GenerateOpt(ctx, GenOptions{Workers: opt.Workers, Progress: opt.Progress})

@@ -1,6 +1,7 @@
 package fame
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -322,7 +323,7 @@ func TestProtocolAndModeStrings(t *testing.T) {
 }
 
 func TestMPIFunctionalModel(t *testing.T) {
-	l, err := MPIFunctionalModel(2)
+	l, err := MPIFunctionalModel(context.Background(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +366,7 @@ func TestMPIFunctionalModel(t *testing.T) {
 func TestMPIFunctionalFlowControl(t *testing.T) {
 	// The single flag gives a one-slot mailbox: a second send cannot
 	// complete before the first receive.
-	l, err := MPIFunctionalModel(2)
+	l, err := MPIFunctionalModel(context.Background(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,10 +381,10 @@ func TestMPIFunctionalFlowControl(t *testing.T) {
 }
 
 func TestMPIFunctionalValidation(t *testing.T) {
-	if _, err := MPIFunctionalModel(0); err == nil {
+	if _, err := MPIFunctionalModel(context.Background(), 0); err == nil {
 		t.Error("0 values accepted")
 	}
-	if _, err := MPIFunctionalModel(9); err == nil {
+	if _, err := MPIFunctionalModel(context.Background(), 9); err == nil {
 		t.Error("9 values accepted")
 	}
 }

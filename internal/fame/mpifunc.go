@@ -1,6 +1,7 @@
 package fame
 
 import (
+	"context"
 	"fmt"
 
 	"multival/internal/lts"
@@ -27,13 +28,13 @@ import (
 //	send !v   the sender's MPI_Send of payload v completes
 //	recv !v   the receiver's MPI_Recv delivers payload v
 //
-// Buffer/flag accesses are internal (hidden).
-func MPIFunctionalModel(values int) (*lts.LTS, error) {
+// Buffer/flag accesses are internal (hidden). Generation observes ctx.
+func MPIFunctionalModel(ctx context.Context, values int) (*lts.LTS, error) {
 	sys, err := MPIFunctionalSystem(values)
 	if err != nil {
 		return nil, err
 	}
-	l, err := sys.Generate(process.GenOptions{MaxStates: 1 << 18})
+	l, err := sys.GenerateCtx(ctx, process.GenOptions{MaxStates: 1 << 18})
 	if err != nil {
 		return nil, err
 	}

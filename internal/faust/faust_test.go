@@ -1,6 +1,8 @@
 package faust
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"multival/internal/bisim"
@@ -10,7 +12,7 @@ import (
 )
 
 func TestRouterDeadlockFree(t *testing.T) {
-	l, err := RouterLTS(RouterConfig{Ports: 3}, chp.Options{}, 500000)
+	l, err := RouterLTS(context.Background(), RouterConfig{Ports: 3}, chp.Options{}, 500000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,9 +24,21 @@ func TestRouterDeadlockFree(t *testing.T) {
 	}
 }
 
+// TestRouterLTSCanceled: generation of the 4-port router (the sweep's chp
+// family at its largest) stops on a canceled context instead of exploring
+// the full state space.
+func TestRouterLTSCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := RouterLTS(ctx, RouterConfig{Ports: 4}, chp.Options{}, 0)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
 func TestRouterNeverMisroutes(t *testing.T) {
 	cfg := RouterConfig{Ports: 3}
-	l, err := RouterLTS(cfg, chp.Options{}, 500000)
+	l, err := RouterLTS(context.Background(), cfg, chp.Options{}, 500000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +63,7 @@ func routeLabel(o int) string {
 func TestRouterDeliveryResponse(t *testing.T) {
 	// Every accepted packet for port o is inevitably delivered at o
 	// (single active input: no contention starvation to worry about).
-	l, err := RouterLTS(RouterConfig{Ports: 3, InputsActive: []int{0}}, chp.Options{}, 200000)
+	l, err := RouterLTS(context.Background(), RouterConfig{Ports: 3, InputsActive: []int{0}}, chp.Options{}, 200000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +79,7 @@ func TestRouterDeliveryResponse(t *testing.T) {
 func TestRouterContentionStillSafe(t *testing.T) {
 	// Two active inputs competing for the same outputs.
 	cfg := RouterConfig{Ports: 3, InputsActive: []int{0, 1}}
-	l, err := RouterLTS(cfg, chp.Options{}, 500000)
+	l, err := RouterLTS(context.Background(), cfg, chp.Options{}, 500000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +96,11 @@ func TestRouterContentionStillSafe(t *testing.T) {
 func TestRouterHandshakeExpansion(t *testing.T) {
 	// With explicit req/ack handshakes the router still works; the LTS
 	// is strictly larger (finer-grained).
-	plain, err := RouterLTS(RouterConfig{Ports: 2}, chp.Options{}, 500000)
+	plain, err := RouterLTS(context.Background(), RouterConfig{Ports: 2}, chp.Options{}, 500000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs, err := RouterLTS(RouterConfig{Ports: 2}, chp.Options{HandshakeExpand: true}, 500000)
+	hs, err := RouterLTS(context.Background(), RouterConfig{Ports: 2}, chp.Options{HandshakeExpand: true}, 500000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,13 +114,13 @@ func TestRouterHandshakeExpansion(t *testing.T) {
 }
 
 func TestRouterConfigValidation(t *testing.T) {
-	if _, err := RouterLTS(RouterConfig{Ports: 1}, chp.Options{}, 0); err == nil {
+	if _, err := RouterLTS(context.Background(), RouterConfig{Ports: 1}, chp.Options{}, 0); err == nil {
 		t.Error("1-port router accepted")
 	}
-	if _, err := RouterLTS(RouterConfig{Ports: 6}, chp.Options{}, 0); err == nil {
+	if _, err := RouterLTS(context.Background(), RouterConfig{Ports: 6}, chp.Options{}, 0); err == nil {
 		t.Error("6-port router accepted")
 	}
-	if _, err := RouterLTS(RouterConfig{Ports: 3, InputsActive: []int{7}}, chp.Options{}, 0); err == nil {
+	if _, err := RouterLTS(context.Background(), RouterConfig{Ports: 3, InputsActive: []int{7}}, chp.Options{}, 0); err == nil {
 		t.Error("bad active input accepted")
 	}
 }
@@ -134,7 +148,7 @@ func TestForkWaitBothEquivalentToSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bisim.Equivalent(spec, impl, bisim.Branching) {
+	if !equivalent(spec, impl, bisim.Branching) {
 		t.Fatalf("wait-both fork not branching-equivalent to spec\nspec:\n%s\nimpl:\n%s",
 			dumpSmall(spec), dumpSmall(impl))
 	}
@@ -149,7 +163,7 @@ func TestForkIsochronicEquivalentToSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bisim.Equivalent(spec, impl, bisim.Branching) {
+	if !equivalent(spec, impl, bisim.Branching) {
 		t.Fatalf("isochronic fork not branching-equivalent to spec\nimpl:\n%s", dumpSmall(impl))
 	}
 }
@@ -163,7 +177,7 @@ func TestForkUnsafeBroken(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bisim.Equivalent(spec, impl, bisim.Branching) {
+	if equivalent(spec, impl, bisim.Branching) {
 		t.Fatal("unsafe fork must NOT be equivalent to the spec")
 	}
 	// The failure is a wedged protocol: a deadlock is reachable.
@@ -171,7 +185,7 @@ func TestForkUnsafeBroken(t *testing.T) {
 		t.Fatal("unsafe fork has no reachable deadlock?")
 	}
 	// And trace inequivalence provides a diagnostic counterexample.
-	res := bisim.Compare(spec, impl, bisim.Trace)
+	res := compareLTS(spec, impl, bisim.Trace)
 	if res.Equivalent {
 		t.Fatal("unsafe fork should be trace-distinguishable (it wedges)")
 	}
@@ -201,9 +215,36 @@ func TestForkValuesValidation(t *testing.T) {
 }
 
 func dumpSmall(l *lts.LTS) string {
-	m, _ := bisim.Minimize(l, bisim.Branching)
+	m, _ := minimize(l, bisim.Branching)
 	if m.NumStates() > 40 {
 		return m.String()
 	}
 	return m.Dump()
+}
+
+// equivalent is bisim.EquivalentCtx without cancellation.
+func equivalent(a, b *lts.LTS, rel bisim.Relation) bool {
+	eq, err := bisim.EquivalentCtx(context.Background(), a, b, rel, bisim.Options{})
+	if err != nil {
+		panic(err)
+	}
+	return eq
+}
+
+// compareLTS is bisim.CompareCtx without cancellation.
+func compareLTS(a, b *lts.LTS, rel bisim.Relation) bisim.CompareResult {
+	res, err := bisim.CompareCtx(context.Background(), a, b, rel, bisim.Options{})
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
+// minimize is bisim.MinimizeCtx without cancellation.
+func minimize(l *lts.LTS, rel bisim.Relation) (*lts.LTS, []int) {
+	q, block, err := bisim.MinimizeCtx(context.Background(), l, rel, bisim.Options{})
+	if err != nil {
+		panic(err)
+	}
+	return q, block
 }

@@ -1,6 +1,7 @@
 package faust
 
 import (
+	"context"
 	"fmt"
 
 	"multival/internal/lts"
@@ -72,7 +73,9 @@ func ForkSpec(values int) (*lts.LTS, error) {
 			}},
 		})
 	sys.SetRoot(process.Call{Proc: "Fork", Args: []process.Expr{process.Int(0)}})
-	return sys.Generate(process.GenOptions{})
+	// At most 4 values keeps the model tiny, and mvbench pins this
+	// signature, so generation runs without a caller context.
+	return sys.GenerateCtx(context.Background(), process.GenOptions{})
 }
 
 // ForkImpl generates the handshake-level implementation for the given
@@ -84,7 +87,9 @@ func ForkImpl(values int, variant ForkVariant) (*lts.LTS, error) {
 	if err != nil {
 		return nil, err
 	}
-	l, err := sys.Generate(process.GenOptions{})
+	// At most 4 values keeps the model tiny, and mvbench pins this
+	// signature, so generation runs without a caller context.
+	l, err := sys.GenerateCtx(context.Background(), process.GenOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@
 package faust
 
 import (
+	"context"
 	"fmt"
 
 	"multival/internal/chp"
@@ -113,7 +114,8 @@ func wire(i, o int) string { return fmt.Sprintf("x%d_%d", i, o) }
 // RouterLTS translates the CHP router to the process calculus, generates
 // its LTS, and hides the internal crossbar wires. Options.HandshakeExpand
 // models the request/acknowledge implementation of each channel.
-func RouterLTS(cfg RouterConfig, opts chp.Options, maxStates int) (*lts.LTS, error) {
+// Generation observes ctx (see process.System.GenerateCtx).
+func RouterLTS(ctx context.Context, cfg RouterConfig, opts chp.Options, maxStates int) (*lts.LTS, error) {
 	procs, err := RouterProcesses(cfg)
 	if err != nil {
 		return nil, err
@@ -122,7 +124,7 @@ func RouterLTS(cfg RouterConfig, opts chp.Options, maxStates int) (*lts.LTS, err
 	if err != nil {
 		return nil, err
 	}
-	l, err := sys.Generate(process.GenOptions{MaxStates: maxStates})
+	l, err := sys.GenerateCtx(ctx, process.GenOptions{MaxStates: maxStates})
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,7 @@ package imc
 // IMC's internal nondeterminism.
 //
 // The original implementation enumerated every deterministic scheduler
-// with an odometer and ran the full ToCTMC elimination plus a steady-state
+// with an odometer and ran a full CTMC extraction plus a steady-state
 // solve per combination — exponential in the number of nondeterministic
 // vanishing states (kept below as ThroughputBoundsEnum, the differential
 // reference for small models). ThroughputBounds replaces it with

@@ -6,6 +6,7 @@ package imc
 // odometer enumeration rejects outright.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -77,7 +78,7 @@ func boundsAgree(t *testing.T, m *IMC, label string, what string) {
 	if err != nil {
 		t.Fatalf("%s: policy bounds: %v", what, err)
 	}
-	elo, ehi, err := m.ThroughputBoundsEnum(label, 1<<20)
+	elo, ehi, err := m.ThroughputBoundsEnum(context.Background(), label, 1<<20)
 	if err != nil {
 		t.Fatalf("%s: enumeration: %v", what, err)
 	}
@@ -123,7 +124,7 @@ func TestPolicyBoundsDeterministicModel(t *testing.T) {
 	if lo != hi {
 		t.Errorf("deterministic model: bounds [%g, %g] should coincide", lo, hi)
 	}
-	res, err := m.ToCTMC(nil)
+	res, err := m.toCTMC(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestPolicyBoundsLargeModelEnumerationRejects(t *testing.T) {
 	// reject at the default maxCombos while policy iteration solves it.
 	rng := rand.New(rand.NewSource(7))
 	m := ndRing(rng, 24, 2)
-	if _, _, err := m.ThroughputBoundsEnum("work", 0); err == nil {
+	if _, _, err := m.ThroughputBoundsEnum(context.Background(), "work", 0); err == nil {
 		t.Fatal("enumeration accepted 2^24 combinations")
 	} else if !strings.Contains(err.Error(), "exceed limit") {
 		t.Fatalf("unexpected enumeration error: %v", err)
@@ -155,7 +156,7 @@ func TestPolicyBoundsLargeModelEnumerationRejects(t *testing.T) {
 	// A randomized memoryless scheduler's throughput must fall inside
 	// the deterministic extremes (deterministic policies attain the
 	// extrema over all stationary schedulers on unichain models).
-	res, err := m.ToCTMC(UniformScheduler{})
+	res, err := m.toCTMC(UniformScheduler{})
 	if err != nil {
 		t.Fatal(err)
 	}

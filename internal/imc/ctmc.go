@@ -97,24 +97,18 @@ type CTMCResult struct {
 	Weights map[string][]float64
 }
 
-// ToCTMC eliminates instantaneous transitions and returns the embedded
+// extractCheckEvery is the number of tangible states between cancellation
+// checks and progress reports during CTMC extraction.
+const extractCheckEvery = 1024
+
+// ToCTMCCtx eliminates instantaneous transitions and returns the embedded
 // CTMC. All interactive transitions are treated as urgent and
 // instantaneous: tau by maximal progress, and visible labels as
 // observation probes that fire as soon as offered (models should hide or
 // delay anything they do not want to treat this way). sched may be nil,
 // in which case any nondeterministic vanishing state yields
-// *NondeterminismError. It is ToCTMCCtx without cancellation.
-func (m *IMC) ToCTMC(sched Scheduler) (*CTMCResult, error) {
-	return m.ToCTMCCtx(context.Background(), sched, nil)
-}
-
-// extractCheckEvery is the number of tangible states between cancellation
-// checks and progress reports during CTMC extraction.
-const extractCheckEvery = 1024
-
-// ToCTMCCtx is ToCTMC with cancellation and progress observation: the
-// tangible-state elimination loop checks ctx every extractCheckEvery
-// states (stage "extract").
+// *NondeterminismError. The tangible-state elimination loop checks ctx
+// every extractCheckEvery states and reports progress (stage "extract").
 func (m *IMC) ToCTMCCtx(ctx context.Context, sched Scheduler, progress engine.ProgressFunc) (*CTMCResult, error) {
 	n := m.NumStates()
 	if n == 0 {
@@ -290,16 +284,11 @@ func (r *CTMCResult) SteadyState() ([]float64, error) {
 	return r.Chain.SteadyState(markov.SolveOptions{})
 }
 
-// Transient computes the time-dependent state probabilities at time t
+// TransientOpt computes the time-dependent state probabilities at time t
 // ("steady-state or time-dependent state probabilities", paper §4),
 // starting from the initial distribution (vanishing initial states
-// resolve instantaneously at time zero).
-func (r *CTMCResult) Transient(t float64) ([]float64, error) {
-	return r.TransientOpt(t, markov.SolveOptions{})
-}
-
-// TransientOpt is Transient with explicit solver options (tolerances,
-// cancellation, progress).
+// resolve instantaneously at time zero). opts carries the solver
+// tolerances, cancellation and progress observer.
 func (r *CTMCResult) TransientOpt(t float64, opts markov.SolveOptions) ([]float64, error) {
 	// markov.Transient starts from a single state; combine linearly
 	// over the initial distribution (the transient operator is linear
@@ -354,8 +343,8 @@ func (r *CTMCResult) Labels() []string {
 // throughput of the label. Exponential in the number of nondeterministic
 // states, it survives as the exhaustive differential reference for the
 // policy-iteration ThroughputBounds (see bounds.go); use it only on
-// small models.
-func (m *IMC) ThroughputBoundsEnum(label string, maxCombos int) (min, max float64, err error) {
+// small models. Every extraction observes ctx.
+func (m *IMC) ThroughputBoundsEnum(ctx context.Context, label string, maxCombos int) (min, max float64, err error) {
 	if maxCombos <= 0 {
 		maxCombos = 4096
 	}
@@ -382,7 +371,7 @@ func (m *IMC) ThroughputBoundsEnum(label string, maxCombos int) (min, max float6
 		for i, s := range ndStates {
 			sched.Pick[s] = pick[i]
 		}
-		res, err := m.ToCTMC(sched)
+		res, err := m.ToCTMCCtx(ctx, sched, nil)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -398,19 +387,16 @@ func (m *IMC) ThroughputBoundsEnum(label string, maxCombos int) (min, max float6
 			max = thr
 		}
 		first = false
-		// Odometer.
+		// Odometer: reset the trailing digits that are at their maximum,
+		// then advance the next one (none left: every combination done).
 		p := len(pick) - 1
-		for p >= 0 {
-			pick[p]++
-			if pick[p] < ndArity[p] {
-				break
-			}
+		for ; p >= 0 && pick[p]+1 == ndArity[p]; p-- {
 			pick[p] = 0
-			p--
 		}
 		if p < 0 {
 			break
 		}
+		pick[p]++
 	}
 	if first {
 		return 0, 0, fmt.Errorf("imc: no scheduler combinations evaluated")

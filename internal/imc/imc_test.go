@@ -1,6 +1,7 @@
 package imc
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -37,7 +38,7 @@ func TestDecorateExpThroughput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.ToCTMC(nil)
+	res, err := m.toCTMC(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestDecorateErlangThroughputInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := m.ToCTMC(nil)
+		res, err := m.toCTMC(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +109,7 @@ func TestDecorateRatesMM1K(t *testing.T) {
 	if m.Inter.NumTransitions() != 0 {
 		t.Fatal("all transitions should be Markovian now")
 	}
-	res, err := m.ToCTMC(nil)
+	res, err := m.toCTMC(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestMaximalProgress(t *testing.T) {
 
 func TestNondeterminismRejectedWithoutScheduler(t *testing.T) {
 	m := nondetModel()
-	_, err := m.ToCTMC(nil)
+	_, err := m.toCTMC(nil)
 	var nd *NondeterminismError
 	if !errors.As(err, &nd) {
 		t.Fatalf("expected NondeterminismError, got %v", err)
@@ -220,7 +221,7 @@ func nondetModel() *IMC {
 
 func TestUniformSchedulerResolves(t *testing.T) {
 	m := nondetModel()
-	res, err := m.ToCTMC(UniformScheduler{})
+	res, err := m.toCTMC(UniformScheduler{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +245,7 @@ func TestThroughputBounds(t *testing.T) {
 
 func TestThroughputBoundsEnum(t *testing.T) {
 	m := nondetModel()
-	min, max, err := m.ThroughputBoundsEnum("fast", 0)
+	min, max, err := m.ThroughputBoundsEnum(context.Background(), "fast", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +262,7 @@ func TestZenoDetected(t *testing.T) {
 	m.AddInteractive(x, lts.Tau, y)
 	m.AddInteractive(y, lts.Tau, x)
 	m.Inter.SetInitial(a)
-	_, err := m.ToCTMC(UniformScheduler{})
+	_, err := m.toCTMC(UniformScheduler{})
 	var z *ZenoError
 	if !errors.As(err, &z) {
 		t.Fatalf("expected ZenoError, got %v", err)
@@ -280,7 +281,7 @@ func TestLumpMergesSymmetricBranches(t *testing.T) {
 	m.AddInteractive(b1, "go", end)
 	m.AddInteractive(b2, "go", end)
 	m.Inter.SetInitial(s)
-	q, _ := m.Lump()
+	q, _ := m.lump()
 	if q.NumStates() != 3 {
 		t.Fatalf("lumped to %d states, want 3", q.NumStates())
 	}
@@ -300,12 +301,12 @@ func TestLumpPreservesMeasures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, _ := m.Lump()
+	q, _ := m.lump()
 	if q.NumStates() > m.NumStates() {
 		t.Fatal("lumping grew the state space")
 	}
 	for _, mm := range []*IMC{m, q} {
-		res, err := mm.ToCTMC(nil)
+		res, err := mm.toCTMC(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,8 +320,8 @@ func TestLumpPreservesMeasures(t *testing.T) {
 
 func TestLumpIdempotent(t *testing.T) {
 	m := nondetModel()
-	q1, _ := m.Lump()
-	q2, _ := q1.Lump()
+	q1, _ := m.lump()
+	q2, _ := q1.lump()
 	if q1.NumStates() != q2.NumStates() || len(q1.Markov) != len(q2.Markov) {
 		t.Fatal("lump not idempotent")
 	}
@@ -392,7 +393,7 @@ func TestInitialDistribution(t *testing.T) {
 	m.MustAddRate(tg, tg2, 1)
 	m.MustAddRate(tg2, tg, 1)
 	m.Inter.SetInitial(v)
-	res, err := m.ToCTMC(nil)
+	res, err := m.toCTMC(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +414,7 @@ func TestCTMCAgainstHandBuilt(t *testing.T) {
 	m.MustAddRate(0, 1, 2)
 	m.MustAddRate(1, 2, 3)
 	m.MustAddRate(2, 0, 4)
-	res, err := m.ToCTMC(nil)
+	res, err := m.toCTMC(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +452,7 @@ func TestCompressTau(t *testing.T) {
 	}
 	// Measures preserved.
 	for _, mm := range []*IMC{m, c} {
-		res, err := mm.ToCTMC(nil)
+		res, err := mm.toCTMC(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -491,7 +492,7 @@ func TestCompressTauCycleSafe(t *testing.T) {
 	m.AddInteractive(y, lts.Tau, x)
 	m.Inter.SetInitial(a)
 	c := m.CompressTau()
-	if _, err := c.ToCTMC(nil); err == nil {
+	if _, err := c.toCTMC(nil); err == nil {
 		t.Fatal("tau cycle should still be rejected after compression")
 	}
 }
@@ -513,7 +514,7 @@ func TestMinimizeShrinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	hidden := comp.Hide("h")
-	min := hidden.Minimize()
+	min := hidden.minimize()
 	if min.NumStates() >= hidden.NumStates() {
 		t.Fatalf("Minimize did not shrink: %d -> %d", hidden.NumStates(), min.NumStates())
 	}
@@ -532,11 +533,11 @@ func TestTransientConvergesToSteady(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.ToCTMC(nil)
+	res, err := m.toCTMC(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	at0, err := res.Transient(0)
+	at0, err := res.transient(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,7 +548,7 @@ func TestTransientConvergesToSteady(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	late, err := res.Transient(100)
+	late, err := res.transient(100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -557,7 +558,7 @@ func TestTransientConvergesToSteady(t *testing.T) {
 	// Monotone filling: P(empty) decreases over time from 1.
 	prev := 1.0
 	for _, tm := range []float64{0.2, 0.5, 1, 2, 5} {
-		pi, err := res.Transient(tm)
+		pi, err := res.transient(tm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -578,11 +579,11 @@ func TestTransientWithVanishingInitial(t *testing.T) {
 	m.MustAddRate(a, b, 1)
 	m.MustAddRate(b, a, 1)
 	m.Inter.SetInitial(v)
-	res, err := m.ToCTMC(nil)
+	res, err := m.toCTMC(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi, err := res.Transient(0)
+	pi, err := res.transient(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -591,7 +592,7 @@ func TestTransientWithVanishingInitial(t *testing.T) {
 	}
 	// The chain's configured initial state is untouched by Transient.
 	before := res.Chain.Initial()
-	if _, err := res.Transient(3); err != nil {
+	if _, err := res.transient(3); err != nil {
 		t.Fatal(err)
 	}
 	if res.Chain.Initial() != before {

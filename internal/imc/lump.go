@@ -11,29 +11,18 @@ import (
 	"multival/internal/lts"
 )
 
-// Lump minimizes the IMC modulo strong Markovian bisimulation: two states
-// are equivalent when they offer the same interactive transitions into the
-// same classes and the same aggregated Markovian rate into every other
-// class. Lumping preserves both functional behaviour and the underlying
-// Markov chain (steady-state and transient measures), which is why the
-// Multival flow alternates composition and lumping to keep intermediate
-// state spaces small.
+// LumpCtx minimizes the IMC modulo strong Markovian bisimulation: two
+// states are equivalent when they offer the same interactive transitions
+// into the same classes and the same aggregated Markovian rate into every
+// other class. Lumping preserves both functional behaviour and the
+// underlying Markov chain (steady-state and transient measures), which is
+// why the Multival flow alternates composition and lumping to keep
+// intermediate state spaces small.
 //
-// Callers typically apply MaximalProgress first; Lump itself does not
-// change the maximal-progress semantics. It is LumpCtx without
-// cancellation.
-func (m *IMC) Lump() (*IMC, []int) {
-	q, block, err := m.LumpCtx(context.Background(), nil)
-	if err != nil {
-		// Unreachable: a background context never cancels.
-		panic(err)
-	}
-	return q, block
-}
-
-// LumpCtx is Lump with cancellation and progress observation: the
-// refinement loop checks ctx at every round boundary (stage "lump") and
-// returns ctx.Err() (wrapped) when the context is done.
+// Callers typically apply MaximalProgress first; lumping itself does not
+// change the maximal-progress semantics. The refinement loop checks ctx
+// at every round boundary (stage "lump") and returns ctx.Err() (wrapped)
+// when the context is done.
 func (m *IMC) LumpCtx(ctx context.Context, progress engine.ProgressFunc) (*IMC, []int, error) {
 	n := m.NumStates()
 	block := make([]int, n)
@@ -187,7 +176,7 @@ func roundRate(r float64) float64 {
 // the tau successor. Under the maximal-progress assumption such states
 // take no time and offer no choice, so the reduction preserves weak
 // Markovian bisimulation and every performance measure; combined with
-// Lump it implements the "stochastic state space minimization" step the
+// LumpCtx it implements the "stochastic state space minimization" step the
 // paper alternates with composition.
 func (m *IMC) CompressTau() *IMC {
 	n := m.NumStates()
@@ -208,7 +197,7 @@ func (m *IMC) CompressTau() *IMC {
 		}
 	}
 	// Chase chains with cycle detection: a state inside (or leading
-	// into) a pure tau cycle keeps its transitions, so ToCTMC can still
+	// into) a pure tau cycle keeps its transitions, so ToCTMCCtx can still
 	// report the cycle as Zeno.
 	target := make([]lts.State, n)
 	bypassed := make([]bool, n)
@@ -246,8 +235,9 @@ func (m *IMC) CompressTau() *IMC {
 }
 
 // Minimize is the full stochastic minimization step: maximal progress,
-// deterministic-tau compression, then strong Markovian lumping.
-func (m *IMC) Minimize() *IMC {
-	q, _ := m.MaximalProgress().CompressTau().Lump()
-	return q
+// deterministic-tau compression, then strong Markovian lumping, which
+// observes ctx at every refinement round.
+func (m *IMC) Minimize(ctx context.Context) (*IMC, error) {
+	q, _, err := m.MaximalProgress().CompressTau().LumpCtx(ctx, nil)
+	return q, err
 }

@@ -52,7 +52,7 @@ func qcfg() *quick.Config {
 
 // probeThroughput runs the full flow and returns the "probe" rate.
 func probeThroughput(m *IMC) (float64, bool) {
-	res, err := m.MaximalProgress().ToCTMC(nil)
+	res, err := m.MaximalProgress().toCTMC(nil)
 	if err != nil {
 		return 0, false
 	}
@@ -69,7 +69,7 @@ func TestQuickLumpPreservesThroughput(t *testing.T) {
 		if !ok {
 			return false
 		}
-		lumped, _ := r.M.Lump()
+		lumped, _ := r.M.lump()
 		after, ok := probeThroughput(lumped)
 		if !ok {
 			return false
@@ -87,7 +87,7 @@ func TestQuickCompressTauPreservesThroughput(t *testing.T) {
 		// Keep one probe visible by re-adding a marker? Instead check
 		// the steady-state distribution sum and state mapping sanity.
 		c := hidden.MaximalProgress().CompressTau()
-		res, err := c.ToCTMC(nil)
+		res, err := c.toCTMC(nil)
 		if err != nil {
 			return false
 		}
@@ -108,7 +108,7 @@ func TestQuickCompressTauPreservesThroughput(t *testing.T) {
 
 func TestQuickMinimizeNeverGrows(t *testing.T) {
 	prop := func(r randIMC) bool {
-		min := r.M.Minimize()
+		min := r.M.minimize()
 		return min.NumStates() <= r.M.NumStates()
 	}
 	if err := quick.Check(prop, qcfg()); err != nil {
@@ -138,7 +138,7 @@ func TestQuickComposeCommutativeThroughput(t *testing.T) {
 func TestQuickExitRateInvariantUnderLump(t *testing.T) {
 	// The exit rate of the initial state's class is preserved.
 	prop := func(r randIMC) bool {
-		lumped, block := r.M.Lump()
+		lumped, block := r.M.lump()
 		_ = block
 		// Compare total rate mass per unit of steady-state probability:
 		// simpler robust check — both chains' steady states sum to 1

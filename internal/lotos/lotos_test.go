@@ -1,6 +1,7 @@
 package lotos
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -15,7 +16,7 @@ func genSrc(t *testing.T, src string) *lts.LTS {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	l, err := sys.Generate(process.GenOptions{MaxStates: 100000})
+	l, err := sys.GenerateCtx(context.Background(), process.GenOptions{MaxStates: 100000})
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
@@ -106,7 +107,7 @@ func TestRecursiveBuffer(t *testing.T) {
 	behaviour Buf
 	`
 	l := genSrc(t, src)
-	q, _ := bisim.Minimize(l, bisim.Strong)
+	q, _ := minimize(l, bisim.Strong)
 	// Buffer: 1 empty state + 2 full states (x=0,1) = 3.
 	if q.NumStates() != 3 {
 		t.Fatalf("buffer minimizes to %d states, want 3\n%s", q.NumStates(), q.Dump())
@@ -283,4 +284,13 @@ func TestDisablePrecedence(t *testing.T) {
 	if len(d.Successors(sa[0], d.LookupLabel("c"))) != 1 {
 		t.Fatal("c should follow a's exit")
 	}
+}
+
+// minimize is bisim.MinimizeCtx without cancellation.
+func minimize(l *lts.LTS, rel bisim.Relation) (*lts.LTS, []int) {
+	q, block, err := bisim.MinimizeCtx(context.Background(), l, rel, bisim.Options{})
+	if err != nil {
+		panic(err)
+	}
+	return q, block
 }

@@ -163,3 +163,16 @@ func TestEachIncoming(t *testing.T) {
 		t.Fatalf("EachIncoming visited %d edges, want 2", n)
 	}
 }
+
+func TestGate(t *testing.T) {
+	cases := map[string]string{
+		"c !1":       "c",
+		"done":       "done",
+		"g !1 !true": "g",
+	}
+	for lab, want := range cases {
+		if got := Gate(lab); got != want {
+			t.Errorf("Gate(%q) = %q, want %q", lab, got, want)
+		}
+	}
+}

@@ -68,27 +68,22 @@ func (e *ExplosionError) Error() string {
 // errors.Is(err, engine.ErrStateBound) holds.
 func (e *ExplosionError) Unwrap() error { return engine.ErrStateBound }
 
-// Generate explores the state space of the system's root behaviour and
+// genCheckEvery is the number of worklist states between cancellation
+// checks and progress reports during generation.
+const genCheckEvery = 1024
+
+// GenerateCtx explores the state space of the system's root behaviour and
 // returns it as an LTS. Two reachable terms are the same state iff their
 // canonical strings (Behavior.String) are equal; a per-call hash-consed
 // store keys that identity structurally for Par, Hide and Rename, so
 // global states are never printed (see store). Exploration is
 // breadth-first and each state's transitions keep their derivation order,
-// so state numbering and the label table are deterministic. It is
-// GenerateCtx without cancellation.
-func (s *System) Generate(opts GenOptions) (*lts.LTS, error) {
-	return s.GenerateCtx(context.Background(), opts)
-}
-
-// genCheckEvery is the number of worklist states between cancellation
-// checks and progress reports during generation.
-const genCheckEvery = 1024
-
-// GenerateCtx is Generate with cancellation: the exploration worklist
-// checks ctx every genCheckEvery states and returns ctx.Err() (wrapped)
-// when the context is done, so a deadline or cancel aborts generation
-// mid-worklist rather than after the fact. Calls on one System may run
-// concurrently: each call owns its term store.
+// so state numbering and the label table are deterministic.
+//
+// The exploration worklist checks ctx every genCheckEvery states and
+// returns ctx.Err() (wrapped) when the context is done, so a deadline or
+// cancel aborts generation mid-worklist rather than after the fact. Calls
+// on one System may run concurrently: each call owns its term store.
 func (s *System) GenerateCtx(ctx context.Context, opts GenOptions) (*lts.LTS, error) {
 	if s.Root == nil {
 		return nil, fmt.Errorf("process: system %q has no root behaviour", s.Name)
@@ -148,22 +143,4 @@ func (s *System) GenerateCtx(ctx context.Context, opts GenOptions) (*lts.LTS, er
 		}
 	}
 	return l, nil
-}
-
-// MustGenerate is Generate that panics on error; for models known to be
-// finite and well-typed (tests, examples).
-func (s *System) MustGenerate(opts GenOptions) *lts.LTS {
-	l, err := s.Generate(opts)
-	if err != nil {
-		panic(err)
-	}
-	return l
-}
-
-// Generate builds the LTS of a standalone behaviour with no process
-// definitions.
-func GenerateBehavior(name string, b Behavior, opts GenOptions) (*lts.LTS, error) {
-	sys := NewSystem(name)
-	sys.SetRoot(b)
-	return sys.Generate(opts)
 }

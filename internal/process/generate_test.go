@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"multival/internal/bisim"
 	"multival/internal/lts"
 )
 
@@ -264,7 +263,7 @@ func TestInfiniteCycleIsFinite(t *testing.T) {
 	if l.NumStates() != 2 || l.NumTransitions() != 2 {
 		// Initial term Call{P} and continuation term differ textually,
 		// but behaviourally it is a single a-loop.
-		q, _ := bisim.Minimize(l, bisim.Strong)
+		q := strongMinimize(l)
 		if q.NumStates() != 1 || q.NumTransitions() != 1 {
 			t.Fatalf("a-loop minimizes to %d/%d", q.NumStates(), q.NumTransitions())
 		}
@@ -345,7 +344,7 @@ func TestParCommutativeModuloBisim(t *testing.T) {
 	b := Do("b", Act("G", []Offer{Recv("x", 0, 2)}, Stop{}))
 	l1 := gen(t, SyncPar([]string{"G"}, a, b))
 	l2 := gen(t, SyncPar([]string{"G"}, b, a))
-	if !bisim.Equivalent(l1, l2, bisim.Strong) {
+	if !strongEquivalent(l1, l2) {
 		t.Fatal("parallel composition should be commutative modulo strong bisim")
 	}
 }
@@ -356,7 +355,7 @@ func TestParAssociativeModuloBisim(t *testing.T) {
 	c := Do("G", Stop{})
 	l1 := gen(t, SyncPar([]string{"G"}, SyncPar([]string{"G"}, a, b), c))
 	l2 := gen(t, SyncPar([]string{"G"}, a, SyncPar([]string{"G"}, b, c)))
-	if !bisim.Equivalent(l1, l2, bisim.Strong) {
+	if !strongEquivalent(l1, l2) {
 		t.Fatal("three-way sync should be associative modulo strong bisim")
 	}
 }
@@ -364,7 +363,7 @@ func TestParAssociativeModuloBisim(t *testing.T) {
 func TestChoiceCommutativeModuloBisim(t *testing.T) {
 	p := Alt(Do("a", Stop{}), Do("b", Stop{}))
 	q := Alt(Do("b", Stop{}), Do("a", Stop{}))
-	if !bisim.Equivalent(gen(t, p), gen(t, q), bisim.Strong) {
+	if !strongEquivalent(gen(t, p), gen(t, q)) {
 		t.Fatal("choice should be commutative modulo strong bisim")
 	}
 }

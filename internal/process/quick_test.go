@@ -5,8 +5,6 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
-
-	"multival/internal/bisim"
 )
 
 // randExpr generates random closed integer expressions, avoiding division
@@ -125,12 +123,12 @@ func (randBehavior) Generate(rng *rand.Rand, _ int) reflect.Value {
 
 func TestQuickChoiceCommutative(t *testing.T) {
 	prop := func(p, q randBehavior) bool {
-		l1, err1 := GenerateBehavior("pq", Choice{p.B, q.B}, GenOptions{MaxStates: 50000})
-		l2, err2 := GenerateBehavior("qp", Choice{q.B, p.B}, GenOptions{MaxStates: 50000})
+		l1, err1 := generateBehavior("pq", Choice{p.B, q.B}, GenOptions{MaxStates: 50000})
+		l2, err2 := generateBehavior("qp", Choice{q.B, p.B}, GenOptions{MaxStates: 50000})
 		if err1 != nil || err2 != nil {
 			return err1 != nil && err2 != nil
 		}
-		return bisim.Equivalent(l1, l2, bisim.Strong)
+		return strongEquivalent(l1, l2)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(5))}); err != nil {
 		t.Error(err)
@@ -139,12 +137,12 @@ func TestQuickChoiceCommutative(t *testing.T) {
 
 func TestQuickParCommutative(t *testing.T) {
 	prop := func(p, q randBehavior) bool {
-		l1, err1 := GenerateBehavior("pq", Par{A: p.B, B: q.B}, GenOptions{MaxStates: 50000})
-		l2, err2 := GenerateBehavior("qp", Par{A: q.B, B: p.B}, GenOptions{MaxStates: 50000})
+		l1, err1 := generateBehavior("pq", Par{A: p.B, B: q.B}, GenOptions{MaxStates: 50000})
+		l2, err2 := generateBehavior("qp", Par{A: q.B, B: p.B}, GenOptions{MaxStates: 50000})
 		if err1 != nil || err2 != nil {
 			return err1 != nil && err2 != nil
 		}
-		return bisim.Equivalent(l1, l2, bisim.Strong)
+		return strongEquivalent(l1, l2)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(6))}); err != nil {
 		t.Error(err)
@@ -153,12 +151,12 @@ func TestQuickParCommutative(t *testing.T) {
 
 func TestQuickChoiceIdempotentModuloBisim(t *testing.T) {
 	prop := func(p randBehavior) bool {
-		l1, err1 := GenerateBehavior("p", p.B, GenOptions{MaxStates: 50000})
-		l2, err2 := GenerateBehavior("pp", Choice{p.B, p.B}, GenOptions{MaxStates: 50000})
+		l1, err1 := generateBehavior("p", p.B, GenOptions{MaxStates: 50000})
+		l2, err2 := generateBehavior("pp", Choice{p.B, p.B}, GenOptions{MaxStates: 50000})
 		if err1 != nil || err2 != nil {
 			return err1 != nil && err2 != nil
 		}
-		return bisim.Equivalent(l1, l2, bisim.Strong)
+		return strongEquivalent(l1, l2)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(7))}); err != nil {
 		t.Error(err)
@@ -167,12 +165,12 @@ func TestQuickChoiceIdempotentModuloBisim(t *testing.T) {
 
 func TestQuickStopIsChoiceUnit(t *testing.T) {
 	prop := func(p randBehavior) bool {
-		l1, err1 := GenerateBehavior("p", p.B, GenOptions{MaxStates: 50000})
-		l2, err2 := GenerateBehavior("p+0", Choice{p.B, Stop{}}, GenOptions{MaxStates: 50000})
+		l1, err1 := generateBehavior("p", p.B, GenOptions{MaxStates: 50000})
+		l2, err2 := generateBehavior("p+0", Choice{p.B, Stop{}}, GenOptions{MaxStates: 50000})
 		if err1 != nil || err2 != nil {
 			return err1 != nil && err2 != nil
 		}
-		return bisim.Equivalent(l1, l2, bisim.Strong)
+		return strongEquivalent(l1, l2)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(8))}); err != nil {
 		t.Error(err)

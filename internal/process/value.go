@@ -3,7 +3,7 @@
 // into labeled transition systems. It plays the role of the LOTOS language
 // and the CAESAR compiler in the Multival flow: architectures are described
 // as communicating processes, and their semantics is the LTS explored by
-// Generate.
+// System.GenerateCtx.
 //
 // The calculus provides action prefix with value offers (emission !e and
 // finite-domain acceptance ?x:lo..hi), guarded behaviours, choice,

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -290,7 +291,9 @@ func chpFamily() *Family {
 						if inputs > 0 {
 							cfg.InputsActive = active
 						}
-						return faust.RouterLTS(cfg, chp.Options{}, familyMaxStates)
+						// Component.Build takes no context (mvbench pins
+						// its signature), so this build cannot be canceled.
+						return faust.RouterLTS(context.TODO(), cfg, chp.Options{}, familyMaxStates)
 					},
 				}},
 				Minimize:         "branching", // crossbar wires are hidden
@@ -389,7 +392,9 @@ func lotosFamily() *Family {
 						if err != nil {
 							return nil, err
 						}
-						return sys.Generate(process.GenOptions{MaxStates: familyMaxStates})
+						// Component.Build takes no context (mvbench pins
+						// its signature), so this build cannot be canceled.
+						return sys.GenerateCtx(context.TODO(), process.GenOptions{MaxStates: familyMaxStates})
 					},
 				}},
 				Hide:       splitList(vals["hide"].(string)),

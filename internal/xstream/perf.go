@@ -1,6 +1,7 @@
 package xstream
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -63,8 +64,8 @@ type PerfResult struct {
 
 // Evaluate runs the full performance flow on the counting model: decorate
 // push/pop with exponential delays, transform to a CTMC, and compute the
-// steady-state measures.
-func Evaluate(cfg PerfConfig) (*PerfResult, error) {
+// steady-state measures. CTMC extraction observes ctx.
+func Evaluate(ctx context.Context, cfg PerfConfig) (*PerfResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -76,7 +77,7 @@ func Evaluate(cfg PerfConfig) (*PerfResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := m.ToCTMC(nil)
+	res, err := m.ToCTMCCtx(ctx, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -149,7 +150,8 @@ func StageGate(i int) string { return fmt.Sprintf("h%d", i) }
 // between stages and arrival rate lambda, by composing counting IMCs and
 // solving the product CTMC. The Markovian product grows as (cap+1)^n,
 // demonstrating why the paper's flow lumps after each composition step.
-func PipelinePerf(n, capacity int, lambda, mu float64) (thr float64, states int, err error) {
+// Lumping and CTMC extraction observe ctx.
+func PipelinePerf(ctx context.Context, n, capacity int, lambda, mu float64) (thr float64, states int, err error) {
 	if n < 1 {
 		return 0, 0, fmt.Errorf("xstream: need at least one stage")
 	}
@@ -193,8 +195,11 @@ func PipelinePerf(n, capacity int, lambda, mu float64) (thr float64, states int,
 	if err != nil {
 		return 0, 0, err
 	}
-	lumped, _ := dec.Lump()
-	res, err := lumped.ToCTMC(nil)
+	lumped, _, err := dec.LumpCtx(ctx, nil)
+	if err != nil {
+		return 0, 0, err
+	}
+	res, err := lumped.ToCTMCCtx(ctx, nil, nil)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -1,6 +1,7 @@
 package xstream
 
 import (
+	"context"
 	"fmt"
 
 	"multival/internal/imc"
@@ -27,8 +28,8 @@ type PhaseServiceResult struct {
 // service dist: the functional model exposes service start/end gates,
 // the delay process is attached by composition (imc.Decorate), arrivals
 // are decorated directly, and throughput/blocking are read off the CTMC
-// via visible markers.
-func EvaluatePhaseService(capacity int, lambda float64, dist *phasetype.Distribution) (*PhaseServiceResult, error) {
+// via visible markers. Minimization and CTMC extraction observe ctx.
+func EvaluatePhaseService(ctx context.Context, capacity int, lambda float64, dist *phasetype.Distribution) (*PhaseServiceResult, error) {
 	if capacity < 1 || capacity > 32 {
 		return nil, fmt.Errorf("xstream: capacity %d out of 1..32", capacity)
 	}
@@ -85,8 +86,11 @@ func EvaluatePhaseService(capacity int, lambda float64, dist *phasetype.Distribu
 	if err != nil {
 		return nil, err
 	}
-	min := m.Minimize()
-	res, err := min.MaximalProgress().ToCTMC(imc.UniformScheduler{})
+	min, err := m.Minimize(ctx)
+	if err != nil {
+		return nil, err
+	}
+	res, err := min.MaximalProgress().ToCTMCCtx(ctx, imc.UniformScheduler{}, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package xstream
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -127,10 +128,10 @@ func TestBuggyVariantsDifferFromCorrect(t *testing.T) {
 		}
 		return l
 	}
-	if bisim.Equivalent(mk(Correct, true), mk(CreditLeak, true), bisim.Branching) {
+	if equivalent(mk(Correct, true), mk(CreditLeak, true), bisim.Branching) {
 		t.Error("credit-leak variant should not be branching-equivalent to correct")
 	}
-	if bisim.Equivalent(mk(Correct, false), mk(OptimisticPush, false), bisim.Trace) {
+	if equivalent(mk(Correct, false), mk(OptimisticPush, false), bisim.Trace) {
 		t.Error("optimistic variant should not even be trace-equivalent (overflow label)")
 	}
 }
@@ -166,7 +167,7 @@ func TestEvaluateMatchesAnalytic(t *testing.T) {
 		{Capacity: 8, ArrivalRate: 3, ServiceRate: 2},
 		{Capacity: 16, ArrivalRate: 2, ServiceRate: 2},
 	} {
-		res, err := Evaluate(cfg)
+		res, err := Evaluate(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,10 +184,10 @@ func TestEvaluateMatchesAnalytic(t *testing.T) {
 }
 
 func TestEvaluateValidation(t *testing.T) {
-	if _, err := Evaluate(PerfConfig{Capacity: 0, ArrivalRate: 1, ServiceRate: 1}); err == nil {
+	if _, err := Evaluate(context.Background(), PerfConfig{Capacity: 0, ArrivalRate: 1, ServiceRate: 1}); err == nil {
 		t.Error("bad capacity accepted")
 	}
-	if _, err := Evaluate(PerfConfig{Capacity: 2, ArrivalRate: -1, ServiceRate: 1}); err == nil {
+	if _, err := Evaluate(context.Background(), PerfConfig{Capacity: 2, ArrivalRate: -1, ServiceRate: 1}); err == nil {
 		t.Error("bad rate accepted")
 	}
 }
@@ -194,7 +195,7 @@ func TestEvaluateValidation(t *testing.T) {
 func TestLatencyGrowsWithLoad(t *testing.T) {
 	var prev float64
 	for i, lambda := range []float64{0.5, 1.0, 1.5, 1.9} {
-		res, err := Evaluate(PerfConfig{Capacity: 8, ArrivalRate: lambda, ServiceRate: 2})
+		res, err := Evaluate(context.Background(), PerfConfig{Capacity: 8, ArrivalRate: lambda, ServiceRate: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +209,7 @@ func TestLatencyGrowsWithLoad(t *testing.T) {
 func TestPipelinePerfThroughput(t *testing.T) {
 	// A single stage equals the M/M/1/K throughput.
 	lambda, mu := 1.0, 2.0
-	thr, states, err := PipelinePerf(1, 3, lambda, mu)
+	thr, states, err := PipelinePerf(context.Background(), 1, 3, lambda, mu)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestPipelinePerfThroughput(t *testing.T) {
 		t.Error("no states reported")
 	}
 	// Longer pipelines cannot increase throughput.
-	thr2, _, err := PipelinePerf(3, 3, lambda, mu)
+	thr2, _, err := PipelinePerf(context.Background(), 3, 3, lambda, mu)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestPipelineNetworkSmartVsMono(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bisim.Equivalent(mono, smart, bisim.Branching) {
+	if !equivalent(mono, smart, bisim.Branching) {
 		t.Fatal("smart reduction changed pipeline behaviour")
 	}
 	if smartRep.PeakStates > monoRep.PeakStates {
@@ -277,11 +278,20 @@ func TestValueQueueValidation(t *testing.T) {
 
 // Local aliases keep the test body uncluttered.
 func compose_Monolithic(net *compose.Network) (*lts.LTS, *compose.Report, error) {
-	return compose.Monolithic(net, bisim.Branching)
+	return compose.MonolithicCtx(context.Background(), net, bisim.Branching, bisim.Options{})
 }
 
 func compose_Smart(net *compose.Network) (*lts.LTS, *compose.Report, error) {
-	return compose.SmartReduce(net, bisim.Branching)
+	return compose.SmartReduceCtx(context.Background(), net, bisim.Branching, bisim.Options{})
+}
+
+// equivalent is bisim.EquivalentCtx without cancellation.
+func equivalent(a, b *lts.LTS, rel bisim.Relation) bool {
+	eq, err := bisim.EquivalentCtx(context.Background(), a, b, rel, bisim.Options{})
+	if err != nil {
+		panic(err)
+	}
+	return eq
 }
 
 func TestPhaseServiceMatchesExponential(t *testing.T) {
@@ -289,7 +299,7 @@ func TestPhaseServiceMatchesExponential(t *testing.T) {
 	// the M/M/1/K closed form.
 	lambda, mu := 1.5, 2.0
 	capacity := 5
-	res, err := EvaluatePhaseService(capacity, lambda, phasetype.Exp(mu))
+	res, err := EvaluatePhaseService(context.Background(), capacity, lambda, phasetype.Exp(mu))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +318,7 @@ func TestPhaseServiceAgainstHandBuiltChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := EvaluatePhaseService(capacity, lambda, dist)
+	res, err := EvaluatePhaseService(context.Background(), capacity, lambda, dist)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +366,7 @@ func TestLowerServiceVariabilityReducesBlocking(t *testing.T) {
 	// 0.25) blocks less than exponential service (scv 1).
 	lambda, mu := 1.8, 2.0
 	capacity := 4
-	expRes, err := EvaluatePhaseService(capacity, lambda, phasetype.Exp(mu))
+	expRes, err := EvaluatePhaseService(context.Background(), capacity, lambda, phasetype.Exp(mu))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +374,7 @@ func TestLowerServiceVariabilityReducesBlocking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	erlRes, err := EvaluatePhaseService(capacity, lambda, erl)
+	erlRes, err := EvaluatePhaseService(context.Background(), capacity, lambda, erl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,10 +389,10 @@ func TestLowerServiceVariabilityReducesBlocking(t *testing.T) {
 }
 
 func TestPhaseServiceValidation(t *testing.T) {
-	if _, err := EvaluatePhaseService(0, 1, phasetype.Exp(1)); err == nil {
+	if _, err := EvaluatePhaseService(context.Background(), 0, 1, phasetype.Exp(1)); err == nil {
 		t.Error("bad capacity accepted")
 	}
-	if _, err := EvaluatePhaseService(2, -1, phasetype.Exp(1)); err == nil {
+	if _, err := EvaluatePhaseService(context.Background(), 2, -1, phasetype.Exp(1)); err == nil {
 		t.Error("bad lambda accepted")
 	}
 }

@@ -42,12 +42,15 @@ func NewEngine(opts ...Option) *Engine {
 	return e
 }
 
-// defaultEngine backs the deprecated package-level entry points and
-// models created without an engine.
-var defaultEngine = NewEngine()
-
-// Options returns a copy of the engine's configuration.
-func (e *Engine) Options() Options { return e.opts }
+// Options returns a copy of the engine's configuration. A nil engine has
+// the zero Options, so a Model or PerfModel built as a literal (without an
+// engine) runs with the package defaults.
+func (e *Engine) Options() Options {
+	if e == nil {
+		return Options{}
+	}
+	return e.opts
+}
 
 // With returns a derived engine: a copy of e's options with opts applied
 // on top. The receiver is unchanged, so a long-lived service derives
@@ -55,26 +58,17 @@ func (e *Engine) Options() Options { return e.opts }
 // request scheduler) from one shared base engine without mutating — or
 // racing on — the base engine's Options.
 func (e *Engine) With(opts ...Option) *Engine {
-	d := &Engine{opts: e.or().opts}
+	d := &Engine{opts: e.Options()}
 	for _, o := range opts {
 		o(&d.opts)
 	}
 	return d
 }
 
-// or returns e, or the default engine when e is nil (models built by the
-// deprecated package-level constructors).
-func (e *Engine) or() *Engine {
-	if e == nil {
-		return defaultEngine
-	}
-	return e
-}
-
 // Model is a functional model: an LTS plus the operations of the
-// verification flow. Models remember the Engine that created them, so the
-// convenience methods (Minimize, EquivalentTo, Decorate, ...) run with
-// that engine's options.
+// verification flow. Models remember the Engine that created them, so
+// Decorate and DecorateRates run with that engine's options; a literal
+// &Model{L: l} runs with the zero Options.
 type Model struct {
 	L *lts.LTS
 
@@ -90,18 +84,15 @@ func (e *Engine) FromLOTOS(ctx context.Context, src string) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	l, err := sys.GenerateCtx(ctx, e.or().opts.gen())
+	l, err := sys.GenerateCtx(ctx, e.Options().gen())
 	if err != nil {
 		return nil, err
 	}
-	return &Model{L: l, eng: e.or()}, nil
+	return &Model{L: l, eng: e}, nil
 }
 
 // FromLTS wraps an existing LTS.
-func (e *Engine) FromLTS(l *lts.LTS) *Model { return &Model{L: l, eng: e.or()} }
-
-// engine returns the model's engine, falling back to the default.
-func (m *Model) engine() *Engine { return m.eng.or() }
+func (e *Engine) FromLTS(l *lts.LTS) *Model { return &Model{L: l, eng: e} }
 
 // States returns the number of states.
 func (m *Model) States() int { return m.L.NumStates() }
@@ -121,28 +112,11 @@ func (m *Model) Hash() string { return m.L.Freeze().Hash() }
 // Minimize returns the quotient of the model modulo rel, computed by the
 // engine with ctx observed at every refinement round boundary.
 func (e *Engine) Minimize(ctx context.Context, m *Model, rel Relation) (*Model, error) {
-	q, _, err := bisim.MinimizeCtx(ctx, m.L, rel, e.or().opts.bisim())
+	q, _, err := bisim.MinimizeCtx(ctx, m.L, rel, e.Options().bisim())
 	if err != nil {
 		return nil, err
 	}
-	return &Model{L: q, eng: e.or()}, nil
-}
-
-// Minimize returns the quotient modulo the relation, computed by the
-// CSR-backed parallel refinement engine with the model's engine options.
-// Use Engine.Minimize to pass a context.
-func (m *Model) Minimize(rel Relation) (*Model, error) {
-	return m.engine().Minimize(context.Background(), m, rel)
-}
-
-// MinimizeWith is Minimize with an explicit refinement worker count
-// (0 = GOMAXPROCS).
-//
-// Deprecated: configure workers on the engine instead:
-// NewEngine(WithWorkers(n)).Minimize(ctx, m, rel).
-func (m *Model) MinimizeWith(rel Relation, workers int) (*Model, error) {
-	eng := NewEngine(func(o *Options) { *o = m.engine().opts; o.Workers = workers })
-	return eng.Minimize(context.Background(), m, rel)
+	return &Model{L: q, eng: e}, nil
 }
 
 // Hide replaces the labels of the given gates by the internal action.
@@ -175,19 +149,7 @@ func (m *Model) CheckDeadlockFree() (mcl.Result, error) {
 // every refinement round, with a distinguishing trace when trace sets
 // differ.
 func (e *Engine) Compare(ctx context.Context, a, b *Model, rel Relation) (CompareResult, error) {
-	return bisim.CompareCtx(ctx, a.L, b.L, rel, e.or().opts.bisim())
-}
-
-// EquivalentTo compares two models modulo the relation, with a
-// distinguishing trace when trace sets differ. Use Engine.Compare to pass
-// a context.
-func (m *Model) EquivalentTo(other *Model, rel Relation) CompareResult {
-	res, err := m.engine().Compare(context.Background(), m, other, rel)
-	if err != nil {
-		// Unreachable: a background context never cancels.
-		panic(err)
-	}
-	return res
+	return bisim.CompareCtx(ctx, a.L, b.L, rel, e.Options().bisim())
 }
 
 // Decorate attaches phase-type delays compositionally (synchronizing
@@ -195,11 +157,11 @@ func (m *Model) EquivalentTo(other *Model, rel Relation) CompareResult {
 // resulting PerfModel shares the model's engine and caches its derived
 // CTMC artifacts; see PerfModel.
 func (m *Model) Decorate(delays ...Delay) (*PerfModel, error) {
-	im, err := imc.Decorate(m.L, delays, m.engine().opts.MaxStates)
+	im, err := imc.Decorate(m.L, delays, m.eng.Options().MaxStates)
 	if err != nil {
 		return nil, err
 	}
-	return newPerfModel(im, m.engine()), nil
+	return newPerfModel(im, m.eng), nil
 }
 
 // DecorateRates replaces each listed label by an exponential delay of the
@@ -209,5 +171,5 @@ func (m *Model) DecorateRates(rates map[string]float64) (*PerfModel, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newPerfModel(im, m.engine()), nil
+	return newPerfModel(im, m.eng), nil
 }

@@ -16,9 +16,10 @@
 //     operations check cancellation at round boundaries (worklist chunks,
 //     refinement rounds, solver sweeps) and report Progress snapshots.
 //   - Model wraps an LTS obtained from the LOTOS-like DSL, from the CHP
-//     front-end, or from one of the case-study generators, and offers
-//     minimization, model checking and comparison — the paper's
-//     functional verification flow (§3).
+//     front-end, or from one of the case-study generators. The Engine
+//     minimizes and compares Models (Engine.Minimize, Engine.Compare) and
+//     Model offers model checking — the paper's functional verification
+//     flow (§3).
 //   - PerfModel wraps an IMC obtained by decorating a Model with
 //     phase-type delays and offers lumping, CTMC extraction, steady-state
 //     and transient measures — the performance evaluation flow (§4). A
@@ -43,7 +44,6 @@
 package multival
 
 import (
-	"context"
 	"fmt"
 
 	"multival/internal/bisim"
@@ -79,29 +79,6 @@ func ParseRelation(s string) (Relation, error) {
 		return 0, fmt.Errorf("unknown relation %q (want strong | branching | divbranching | trace)", s)
 	}
 }
-
-// FromLOTOS parses a specification in the LOTOS-like DSL (see
-// internal/lotos) and generates its state space with the default engine.
-//
-// Deprecated: use Engine.FromLOTOS, which takes a context and the
-// engine's configured state bound.
-func FromLOTOS(src string, maxStates int) (*Model, error) {
-	eng := NewEngine(WithMaxStates(maxStates))
-	return eng.FromLOTOS(context.Background(), src)
-}
-
-// FromLTS wraps an existing LTS with the default engine.
-//
-// Deprecated: use Engine.FromLTS so the model inherits the engine's
-// options.
-func FromLTS(l *lts.LTS) *Model { return defaultEngine.FromLTS(l) }
-
-// Compose starts a pipeline over the given components with the default
-// engine.
-//
-// Deprecated: use Engine.Compose so the pipeline inherits the engine's
-// options.
-func Compose(components ...*Model) *Pipeline { return defaultEngine.Compose(components...) }
 
 // Gate returns the gate of a transition label following LOTOS
 // conventions: the prefix before the first space ("get !1" -> "get").

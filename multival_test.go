@@ -18,7 +18,7 @@ behaviour Buf
 `
 
 func TestFromLOTOSAndCheck(t *testing.T) {
-	m, err := FromLOTOS(bufferSpec, 0)
+	m, err := NewEngine().FromLOTOS(ctxBg(), bufferSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,27 +45,34 @@ func TestFromLOTOSAndCheck(t *testing.T) {
 }
 
 func TestMinimizeAndEquivalence(t *testing.T) {
-	m, err := FromLOTOS(bufferSpec, 0)
+	m, err := NewEngine().FromLOTOS(ctxBg(), bufferSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := m.Minimize(Branching)
+	eng := NewEngine()
+	q, err := eng.Minimize(ctxBg(), m, Branching)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if q.States() > m.States() {
 		t.Fatal("minimization grew the model")
 	}
-	cmp := m.EquivalentTo(q, Branching)
+	cmp, err := eng.Compare(ctxBg(), m, q, Branching)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !cmp.Equivalent {
 		t.Fatal("quotient not equivalent")
 	}
 	// A different buffer (values 0..2) is not equivalent.
-	other, err := FromLOTOS(strings.Replace(bufferSpec, "0..1", "0..2", 1), 0)
+	other, err := NewEngine().FromLOTOS(ctxBg(), strings.Replace(bufferSpec, "0..1", "0..2", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmp = m.EquivalentTo(other, Trace)
+	cmp, err = eng.Compare(ctxBg(), m, other, Trace)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if cmp.Equivalent {
 		t.Fatal("different buffers reported equivalent")
 	}
@@ -75,7 +82,7 @@ func TestMinimizeAndEquivalence(t *testing.T) {
 }
 
 func TestHide(t *testing.T) {
-	m, err := FromLOTOS(bufferSpec, 0)
+	m, err := NewEngine().FromLOTOS(ctxBg(), bufferSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +104,7 @@ behaviour Work
 `
 
 func TestPerformanceFlow(t *testing.T) {
-	m, err := FromLOTOS(workSpec, 0)
+	m, err := NewEngine().FromLOTOS(ctxBg(), workSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +130,7 @@ func TestPerformanceFlow(t *testing.T) {
 }
 
 func TestDecorateRatesFlow(t *testing.T) {
-	m, err := FromLOTOS(bufferSpec, 0)
+	m, err := NewEngine().FromLOTOS(ctxBg(), bufferSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +155,7 @@ func TestDecorateRatesFlow(t *testing.T) {
 }
 
 func TestMeanTimeTo(t *testing.T) {
-	m, err := FromLOTOS(workSpec, 0)
+	m, err := NewEngine().FromLOTOS(ctxBg(), workSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +215,7 @@ func TestThroughputBoundsFacade(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantLo, wantHi, err := nd.ThroughputBoundsEnum("served", 0)
+		wantLo, wantHi, err := nd.ThroughputBoundsEnum(ctxBg(), "served", 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +248,7 @@ func TestEngineWith(t *testing.T) {
 		t.Fatalf("nil base: %+v", got)
 	}
 	// Derived engines drive pipelines exactly like constructed ones.
-	m, err := FromLOTOS(bufferSpec, 0)
+	m, err := NewEngine().FromLOTOS(ctxBg(), bufferSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,14 +258,40 @@ func TestEngineWith(t *testing.T) {
 	}
 }
 
-// TestModelHash: the facade digest is stable across behaviourally
-// identical builds and distinguishes different behaviours.
-func TestModelHash(t *testing.T) {
-	a, err := FromLOTOS(bufferSpec, 0)
+// TestModelLiteralZeroOptions: without a package-level engine, a Model
+// built as a literal runs with the zero Options (package defaults), from
+// decoration through the solvers.
+func TestModelLiteralZeroOptions(t *testing.T) {
+	if got := (*Engine)(nil).Options(); got.Workers != 0 || got.MaxStates != 0 || got.Progress != nil {
+		t.Fatalf("nil engine options = %+v, want zero", got)
+	}
+	m, err := NewEngine().FromLOTOS(ctxBg(), workSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FromLOTOS(bufferSpec, 0)
+	lit := &Model{L: m.L}
+	p, err := lit.DecorateRates(map[string]float64{"work_s": 1, "work_e": 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, err := p.SteadyState(ctxBg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One cycle takes 1 + 1/2 = 3/2 time units; done is instantaneous.
+	if thr := ms.Throughputs["done"]; math.Abs(thr-2.0/3) > 1e-9 {
+		t.Fatalf("done throughput = %g, want 2/3", thr)
+	}
+}
+
+// TestModelHash: the facade digest is stable across behaviourally
+// identical builds and distinguishes different behaviours.
+func TestModelHash(t *testing.T) {
+	a, err := NewEngine().FromLOTOS(ctxBg(), bufferSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewEngine().FromLOTOS(ctxBg(), bufferSpec)
 	if err != nil {
 		t.Fatal(err)
 	}

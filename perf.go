@@ -57,14 +57,11 @@ type ArtifactStats struct {
 func newPerfModel(im *imc.IMC, eng *Engine) *PerfModel {
 	return &PerfModel{
 		M:      im,
-		eng:    eng.or(),
+		eng:    eng,
 		fpt:    map[string]float64{},
 		bounds: map[string][2]float64{},
 	}
 }
-
-// engine returns the model's engine, falling back to the default.
-func (p *PerfModel) engine() *Engine { return p.eng.or() }
 
 // States returns the number of IMC states.
 func (p *PerfModel) States() int { return p.M.NumStates() }
@@ -83,7 +80,7 @@ func (p *PerfModel) Artifacts() ArtifactStats {
 // ctx at every refinement round. The result is a fresh PerfModel with
 // empty artifact caches.
 func (p *PerfModel) Lump(ctx context.Context) (*PerfModel, error) {
-	opts := p.engine().opts
+	opts := p.eng.Options()
 	q, _, err := p.M.LumpCtx(ctx, opts.Progress)
 	if err != nil {
 		return nil, err
@@ -105,7 +102,7 @@ func (p *PerfModel) maximalProgress() *imc.IMC {
 // IMC, computing it on first use. Callers must hold p.mu.
 func (p *PerfModel) extraction(ctx context.Context) (*imc.CTMCResult, error) {
 	if p.base == nil {
-		opts := p.engine().opts
+		opts := p.eng.Options()
 		res, err := p.maximalProgress().ToCTMCCtx(ctx, opts.Scheduler, opts.Progress)
 		if err != nil {
 			return nil, err
@@ -157,7 +154,7 @@ func (p *PerfModel) SteadyState(ctx context.Context) (*Measures, error) {
 	if err != nil {
 		return nil, err
 	}
-	solve := p.engine().opts.solve()
+	solve := p.eng.Options().solve()
 	solve.Ctx = ctx
 	pi, err := res.Chain.SteadyState(solve)
 	if err != nil {
@@ -178,7 +175,7 @@ func (p *PerfModel) Transient(ctx context.Context, t float64) (*Measures, error)
 	if err != nil {
 		return nil, err
 	}
-	solve := p.engine().opts.solve()
+	solve := p.eng.Options().solve()
 	solve.Ctx = ctx
 	pi, err := res.TransientOpt(t, solve)
 	if err != nil {
@@ -222,7 +219,7 @@ func (p *PerfModel) MeanTimeTo(ctx context.Context, label string) (float64, erro
 	redirected.AppendMarkov(mp.Markov)
 	redirected.Inter.SetInitial(mp.Initial())
 
-	opts := p.engine().opts
+	opts := p.eng.Options()
 	res, err := redirected.ToCTMCCtx(ctx, opts.Scheduler, opts.Progress)
 	if err != nil {
 		return 0, err
@@ -264,7 +261,7 @@ func (p *PerfModel) ThroughputBounds(ctx context.Context, label string) (lo, hi 
 	if b, ok := p.bounds[label]; ok {
 		return b[0], b[1], nil
 	}
-	solve := p.engine().opts.solve()
+	solve := p.eng.Options().solve()
 	solve.Ctx = ctx
 	lo, hi, err = p.maximalProgress().ThroughputBounds(label, solve)
 	if err != nil {

@@ -84,7 +84,7 @@ type pipeStep struct {
 // component is used as-is; several components are composed with multiway
 // gate synchronization on the gates given to Sync.
 func (e *Engine) Compose(components ...*Model) *Pipeline {
-	p := &Pipeline{eng: e.or(), components: components}
+	p := &Pipeline{eng: e, components: components}
 	if len(components) == 0 {
 		p.err = fmt.Errorf("multival: pipeline needs at least one component")
 	}
@@ -208,7 +208,7 @@ func preMinimizeRelation(functional []pipeStep) Relation {
 
 // runFunctional materializes the functional part of the pipeline.
 func (p *Pipeline) runFunctional(ctx context.Context, functional []pipeStep) (*lts.LTS, error) {
-	opts := p.eng.opts
+	opts := p.eng.Options()
 	cur, err := p.compose(ctx, functional)
 	if err != nil {
 		return nil, err
@@ -233,7 +233,7 @@ func (p *Pipeline) runFunctional(ctx context.Context, functional []pipeStep) (*l
 // synchronized product of all components — pre-minimized concurrently
 // when the functional prefix minimizes anyway.
 func (p *Pipeline) compose(ctx context.Context, functional []pipeStep) (*lts.LTS, error) {
-	opts := p.eng.opts
+	opts := p.eng.Options()
 	if len(p.components) == 1 {
 		return p.components[0].L, nil
 	}
@@ -310,7 +310,7 @@ func (p *Pipeline) Perf(ctx context.Context) (*PerfModel, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := p.eng.opts
+	opts := p.eng.Options()
 	var cur *imc.IMC
 	for _, s := range perf {
 		switch s.kind {
