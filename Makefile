@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint race chaos smoke mvbench bench bench-engine bench-solver check
+.PHONY: build test vet lint race chaos smoke fuzz mvbench bench bench-engine bench-solver check
 
 build:
 	$(GO) build ./...
@@ -25,7 +25,10 @@ lint:
 # sweep kernels, the solvers sharding them across workers, the serving
 # layer (queue workers + singleflight cache), and the metrics registry
 # (lock-free counters/histograms hammered concurrently with scrapes), and
-# the process generator (concurrent calls on one shared System).
+# the process generator (concurrent calls on one shared System). The
+# worker-count invariance tests (markov TestWorkerCountNeverChangesResult,
+# root TestWorkerCountNeverChangesMeasures, serve
+# TestServeCacheHitIndependentOfWorkers) run here at 0, 1 and 4 workers.
 race:
 	$(GO) test -race . ./internal/bisim ./internal/sparse ./internal/compose ./internal/markov ./internal/imc ./internal/serve ./internal/sweep ./internal/obs ./internal/fault ./internal/retry ./internal/process
 
@@ -41,6 +44,13 @@ chaos:
 # One tiny pipeline through every CLI binary; flag regressions fail here.
 smoke:
 	./scripts/smoke.sh
+
+# Short native fuzzing of the two text inputs that arrive from outside:
+# the .aut read/write round trip and MCL property queries. Crashers land
+# in the package's testdata/fuzz corpus; commit them with their fix.
+fuzz:
+	$(GO) test -run XXX -fuzz FuzzAutRoundTrip -fuzztime 10s ./internal/aut
+	$(GO) test -run XXX -fuzz FuzzParseQuery -fuzztime 10s ./internal/mcl
 
 # The benchmark harness is its own module (mvbench/go.mod) importing
 # multival/internal/..., so the root build never compiles it: vet and
@@ -58,15 +68,15 @@ bench-engine:
 	$(GO) test -run XXX -bench 'ComposeMinimize|Partition50k' -benchtime 3x .
 
 # The solver + serving + composition trajectory: 100k-state steady
-# state (CSR kernel vs the closure reference vs parallel Jacobi vs
-# forced GS/BiCGSTAB), multi-BSCC absorption via the adjoint SCC-block
-# solver, parallel uniformization, policy-iteration throughput bounds,
-# the server's cold-solve vs cache-hit request latency, and sequential
-# vs sharded generation of the ~100k-state product, repeated for
-# benchstat and summarized into BENCH_PR6.json. Pass a previous summary
-# through `./scripts/bench.sh --compare BENCH_PR5.json` for a delta
+# state (CSR kernel vs the closure reference), multi-BSCC absorption via
+# the adjoint SCC-block solver, uniformization, policy-iteration
+# throughput bounds, the server's cold-solve vs cache-hit request
+# latency, sequential vs sharded generation of the ~100k-state product,
+# the 3x3 fame sweep and process-calculus generation, repeated for
+# benchstat and summarized into BENCH_PR7.json. Pass a previous summary
+# through `./scripts/bench.sh --compare BENCH_PR6.json` for a delta
 # table.
 bench-solver:
 	./scripts/bench.sh
 
-check: build vet test lint race chaos smoke mvbench
+check: build vet test lint race chaos smoke fuzz mvbench

@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"multival/internal/bisim"
@@ -293,13 +292,12 @@ func largeChain(n int) *markov.CTMC {
 	return c
 }
 
-// BenchmarkSteadyStateLargeChain solves a 100k-state chain with the
-// default method. Under PR 6's auto that is still the Gauss–Seidel
-// sweep — it converges in ~16 sweeps on this well-mixed chain, which no
-// Krylov iteration count beats — but with the setup fast paths: two BFS
-// passes replace the Tarjan decomposition and the whole-chain BSCC
-// skips the identity submatrix compaction, so the PR5→PR6 delta of this
-// benchmark is the setup elimination under auto.
+// BenchmarkSteadyStateLargeChain solves a 100k-state chain. The
+// stationary solve is the Gauss–Seidel sweep — it converges in ~16
+// sweeps on this well-mixed chain, which no Krylov iteration count
+// beats (a forced deflated BiCGSTAB took ~47 iterations here) — with
+// the setup fast paths: two BFS passes replace the Tarjan decomposition
+// and the whole-chain BSCC skips the identity submatrix compaction.
 func BenchmarkSteadyStateLargeChain(b *testing.B) {
 	c := largeChain(100_000)
 	c.Freeze()
@@ -376,59 +374,12 @@ func BenchmarkSteadyStateLargeChainClosures(b *testing.B) {
 	}
 }
 
-// BenchmarkSteadyStateLargeChainJacobi solves the same chain with the
-// parallel damped-Jacobi kernel sharded across GOMAXPROCS workers.
-func BenchmarkSteadyStateLargeChainJacobi(b *testing.B) {
-	c := largeChain(100_000)
-	c.Freeze()
-	workers := runtime.GOMAXPROCS(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.SteadyState(markov.SolveOptions{Workers: workers}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSteadyStateLargeChainBiCGSTAB solves the same chain with the
-// Krylov kernel forced on every system (Jacobi-preconditioned BiCGSTAB
-// on the deflated stationary equations). Kept honest on purpose: it is
-// SLOWER than the sweeps here (~47 Krylov iterations against ~16
-// Gauss–Seidel sweeps), which is exactly why auto keeps sweeps for
-// stationary systems and reserves BiCGSTAB for the hitting-type blocks
-// where it wins (see BenchmarkAbsorptionMultiBSCC).
-func BenchmarkSteadyStateLargeChainBiCGSTAB(b *testing.B) {
-	c := largeChain(100_000)
-	c.Freeze()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.SteadyState(markov.SolveOptions{Method: markov.MethodBiCGSTAB}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSteadyStateLargeChainGS solves the same chain with the legacy
-// global Gauss–Seidel path forced — the retained differential
-// reference, kept benchmarked so auto's setup fast paths stay
-// measurable against it in one run.
-func BenchmarkSteadyStateLargeChainGS(b *testing.B) {
-	c := largeChain(100_000)
-	c.Freeze()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.SteadyState(markov.SolveOptions{Method: markov.MethodGS}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkAbsorptionMultiBSCC weights eight BSCC rings by absorption
 // probability from a 50k-state transient mesh: the multi-BSCC path
-// (absorption weights + per-BSCC stationary solves). Since PR 6 the
-// default method solves ONE adjoint (expected-visits) system by
-// SCC-topological blocks — BiCGSTAB on the large mesh block — instead
-// of one global hitting system per BSCC (~7x on this fixture).
+// (absorption weights + per-BSCC stationary solves). The solver runs
+// ONE adjoint (expected-visits) system by SCC-topological blocks —
+// BiCGSTAB on the large mesh block — instead of one global hitting
+// system per BSCC (~7x on this fixture).
 func BenchmarkAbsorptionMultiBSCC(b *testing.B) {
 	const transient, bsccs, ring = 50_000, 8, 64
 	c := markov.NewCTMC(transient + bsccs*ring)
@@ -467,15 +418,14 @@ func BenchmarkAbsorptionMultiBSCC(b *testing.B) {
 	}
 }
 
-// BenchmarkTransientLargeChain runs uniformization on a 100k-state chain
-// with the parallel row-sharded matrix-vector product.
+// BenchmarkTransientLargeChain runs uniformization on a 100k-state chain:
+// one sequential CSR scatter product (AddApplyT) per Poisson step.
 func BenchmarkTransientLargeChain(b *testing.B) {
 	c := largeChain(100_000)
 	c.Freeze()
-	workers := runtime.GOMAXPROCS(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Transient(3, markov.SolveOptions{Workers: workers}); err != nil {
+		if _, err := c.Transient(3, markov.SolveOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -27,7 +27,7 @@ import (
 type Common struct {
 	// Tool is the program name used in error and progress messages.
 	Tool string
-	// Workers is the refinement worker count (-workers).
+	// Workers is the engine worker count (-workers).
 	Workers int
 	// Timeout bounds the whole run (-timeout); zero means no limit.
 	Timeout time.Duration
@@ -43,7 +43,7 @@ type Common struct {
 // flag.Parse.
 func New(tool string) *Common {
 	c := &Common{Tool: tool}
-	flag.IntVar(&c.Workers, "workers", 0, "refinement worker goroutines (0 = GOMAXPROCS)")
+	flag.IntVar(&c.Workers, "workers", 0, "worker goroutines (0 = GOMAXPROCS for refinement and generation); shards work, never changes a result")
 	flag.DurationVar(&c.Timeout, "timeout", 0, "abort the run after this duration (0 = no limit)")
 	flag.BoolVar(&c.Progress, "progress", false, "report operation progress on stderr")
 	return c

@@ -35,17 +35,11 @@ func main() {
 		at      = flag.Float64("at", -1, "solve the transient distribution at this time instead of the steady state")
 		bounds  = flag.String("bounds", "", "comma-separated labels whose throughput to bound over all deterministic schedulers (policy iteration)")
 		jsonOut = flag.Bool("json", false, "emit the result as JSON in the serve wire format")
-		method  = flag.String("method", "auto", "linear-solver kernel: auto, gs, jacobi or bicgstab")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 || len(rates.Rates) == 0 {
-		c.Usage("solve -rate gate=RATE [...] [-marker g1,g2] [-uniform-scheduler] [-at T] [-bounds l1,l2] [-method M] [-json] [-timeout D] model.aut")
+		c.Usage("solve -rate gate=RATE [...] [-marker g1,g2] [-uniform-scheduler] [-at T] [-bounds l1,l2] [-json] [-timeout D] model.aut")
 	}
-	solverMethod, err := multival.ParseMethod(*method)
-	if err != nil {
-		c.Fatal(2, err)
-	}
-
 	l, err := cli.LoadLTS(flag.Arg(0))
 	if err != nil {
 		c.Fatal(2, err)
@@ -54,7 +48,6 @@ func main() {
 	defer cancel()
 
 	var extra []multival.Option
-	extra = append(extra, multival.WithMethod(solverMethod))
 	if *uniform {
 		extra = append(extra, multival.WithScheduler(multival.UniformScheduler{}))
 	}

@@ -114,8 +114,15 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("aut: line %d: %s", e.Line, e.Msg)
 }
 
+// maxStates bounds the state count a header may declare: Read allocates
+// every declared state up front, so without a bound a 20-byte header
+// could demand tens of gigabytes. It is four times the default bound of
+// the state-space generators (1<<20).
+const maxStates = 1 << 22
+
 // Read parses an Aldebaran-format LTS. The number of states and transitions
-// declared in the header must match the body.
+// declared in the header must match the body, and the header may declare
+// at most 1<<22 states.
 func Read(r io.Reader) (*lts.LTS, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -139,8 +146,8 @@ func Read(r io.Reader) (*lts.LTS, error) {
 	if nstates == 0 && ntrans == 0 && init == 0 && lineNo == 0 {
 		return nil, &ParseError{0, "empty input"}
 	}
-	if nstates <= 0 {
-		return nil, &ParseError{lineNo, fmt.Sprintf("invalid state count %d", nstates)}
+	if nstates <= 0 || nstates > maxStates {
+		return nil, &ParseError{lineNo, fmt.Sprintf("invalid state count %d (want 1 to %d)", nstates, maxStates)}
 	}
 	if init < 0 || init >= nstates {
 		return nil, &ParseError{lineNo, fmt.Sprintf("initial state %d out of range [0,%d)", init, nstates)}

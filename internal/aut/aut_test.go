@@ -62,6 +62,7 @@ func TestReadErrors(t *testing.T) {
 		{"bad number", "des (0, x, 1)"},
 		{"init out of range", "des (5, 0, 2)"},
 		{"zero states", "des (0, 0, 0)"},
+		{"too many states", "des (0, 0, 4194305)"},
 		{"state out of range", "des (0, 1, 2)\n(0, a, 9)"},
 		{"count mismatch", "des (0, 2, 2)\n(0, a, 1)"},
 		{"unterminated quote", "des (0, 1, 2)\n(0, \"a, 1)"},

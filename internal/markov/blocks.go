@@ -1,15 +1,14 @@
-// SCC-topological block solvers. The legacy absorption and
-// first-passage paths (steady.go) iterate global fixed-point sweeps over
-// the whole state space until the slowest component converges. The block
-// path here decomposes the chain into strongly connected components once
-// (sparse.SCCs, reverse topological order), then solves each component's
-// linear system in isolation: by the time a component is visited, every
-// state it can reach outside itself is already solved, so its
-// contribution moves to the right-hand side and the component system is
-// small, nonsingular and diagonally dominant. Each block is solved by
-// the method the options select (BiCGSTAB for large blocks, Gauss–Seidel
-// for small under auto), with damped-Jacobi fallback on Krylov
-// breakdown. One scratch set is reused across all blocks of a solve.
+// SCC-topological block solvers. The hitting-type analyses (absorption
+// weights, expected first passage) decompose the chain into strongly
+// connected components once (sparse.SCCs, reverse topological order),
+// then solve each component's linear system in isolation: by the time a
+// component is visited, every state it can reach outside itself is
+// already solved, so its contribution moves to the right-hand side and
+// the component system is small, nonsingular and diagonally dominant.
+// Each block runs BiCGSTAB when it has at least krylovMinStates
+// unknowns and Gauss–Seidel sweeps below, with damped-Jacobi fallback on
+// Krylov breakdown. One scratch set is reused across all blocks of a
+// solve.
 package markov
 
 import (
@@ -62,20 +61,17 @@ func (bs *blockScratch) members(comp []int32) []int {
 }
 
 // solveBlock solves the hitting-type system (diag − sub) x = rhs for one
-// block, dispatching on the options' method for the block size: BiCGSTAB
-// (falling back to damped Jacobi sweeps on breakdown or stall) or
-// Gauss–Seidel sweeps. x carries the initial guess in and the solution
-// out. opts must already have defaults applied.
+// block, choosing the kernel from the block size: BiCGSTAB (falling back
+// to damped Jacobi sweeps on breakdown or stall) or Gauss–Seidel sweeps.
+// x carries the initial guess in and the solution out. opts must already
+// have defaults applied.
 func solveBlock(sub *sparse.Matrix, diag, rhs, x []float64, stage string, opts SolveOptions, bs *blockScratch) error {
 	n := len(x)
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	method := opts.blockMethod(n)
+	method := kernelGS
 	fallback := ""
 	useJacobi := false
-	if method == MethodBiCGSTAB {
+	if n >= krylovMinStates {
+		method = kernelBiCGSTAB
 		probe := func(iter int, res float64) error {
 			if err := opts.canceled(stage, iter); err != nil {
 				return err
@@ -85,7 +81,7 @@ func solveBlock(sub *sparse.Matrix, diag, rhs, x []float64, stage string, opts S
 			}
 			return nil
 		}
-		st, _, _, err := sparse.BiCGSTAB(sub, diag, rhs, x, opts.Tolerance, krylovMaxIter(opts, n), workers, &bs.ks, probe)
+		st, _, _, err := sparse.BiCGSTAB(sub, diag, rhs, x, opts.Tolerance, krylovMaxIter(opts, n), opts.workers(), &bs.ks, probe)
 		if err != nil {
 			return err
 		}
@@ -96,7 +92,7 @@ func solveBlock(sub *sparse.Matrix, diag, rhs, x []float64, stage string, opts S
 		// sweeps from a zero guess (the partial Krylov iterate may be
 		// arbitrarily far off after a breakdown).
 		nFallbackKrylovJacobi.Add(1)
-		fallback = string(MethodJacobi)
+		fallback = kernelJacobi
 		useJacobi = true
 		for i := range x {
 			x[i] = 0
@@ -111,7 +107,7 @@ func solveBlock(sub *sparse.Matrix, diag, rhs, x []float64, stage string, opts S
 			return err
 		}
 		if useJacobi {
-			residual = sparse.HittingSweepJacobi(sub, skip, rhs, diag, cur, next, workers)
+			residual = sparse.HittingSweepJacobi(sub, skip, rhs, diag, cur, next, opts.workers())
 			cur, next = next, cur
 		} else {
 			residual = sparse.HittingSweepGS(sub, skip, rhs, diag, cur)
@@ -126,7 +122,7 @@ func solveBlock(sub *sparse.Matrix, diag, rhs, x []float64, stage string, opts S
 			return nil
 		}
 	}
-	return &ConvergenceError{Iterations: opts.MaxIterations, Residual: residual, Method: string(method), Fallback: fallback}
+	return &ConvergenceError{Iterations: opts.MaxIterations, Residual: residual, Method: method, Fallback: fallback}
 }
 
 // absorptionBlocks computes the per-BSCC absorption probabilities from
@@ -374,89 +370,7 @@ func (c *CTMC) hittingBlocks(isTarget []bool, opts SolveOptions) ([]float64, err
 	return h, nil
 }
 
-// stationaryKrylov attempts the BSCC stationary solve by rank-one
-// deflation + BiCGSTAB: pinning the first local state's unnormalized
-// probability at 1 turns the singular balance system into the
-// nonsingular column-dominant system
-//
-//	(diag(exit) − tin′) x = tin·e₀   restricted to locals 1..m−1,
-//
-// whose solution is x_j = pi_j/pi_0; the result is normalized to a
-// distribution. Returns ok=false (after counting the fallback) when the
-// kernel breaks down, stalls, or produces a solution with meaningfully
-// negative entries — the caller then runs the sweep path.
-func stationaryKrylov(sub, tin *sparse.Matrix, exit []float64, opts SolveOptions, bs *blockScratch) (pi []float64, ok bool, err error) {
-	m := sub.N()
-	rest := make([]int, m-1)
-	for i := range rest {
-		rest[i] = i + 1
-	}
-	tinD := tin.Submatrix(rest)
-	x, rhs, diag, _, _ := bs.grow(m - 1)
-	for j := 1; j < m; j++ {
-		diag[j-1] = exit[j]
-		rhs[j-1] = 0
-		x[j-1] = 1
-	}
-	cols, vals := sub.Row(0)
-	for p, cl := range cols {
-		rhs[cl-1] += vals[p]
-	}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	probe := func(iter int, res float64) error {
-		if perr := opts.canceled("steady", iter); perr != nil {
-			return perr
-		}
-		if iter%progressEvery == 0 {
-			opts.Progress.Report(engine.Progress{Stage: "steady", States: m, Round: iter, Residual: res})
-		}
-		return nil
-	}
-	st, _, _, err := sparse.BiCGSTAB(tinD, diag, rhs, x, opts.Tolerance, krylovMaxIter(opts, m-1), workers, &bs.ks, probe)
-	if err != nil {
-		return nil, false, err
-	}
-	if st != sparse.KrylovConverged {
-		nFallbackKrylovJacobi.Add(1)
-		return nil, false, nil
-	}
-	scale := 1.0
-	for _, v := range x {
-		if a := math.Abs(v); a > scale {
-			scale = a
-		}
-	}
-	pi = make([]float64, m)
-	pi[0] = 1
-	total := 1.0
-	for j := 1; j < m; j++ {
-		v := x[j-1]
-		if v < 0 {
-			if v < -1e-9*scale {
-				// A genuinely negative ratio means the solve is
-				// unreliable (ill-conditioned deflation); fall back.
-				nFallbackKrylovJacobi.Add(1)
-				return nil, false, nil
-			}
-			v = 0
-		}
-		pi[j] = v
-		total += v
-	}
-	if total <= 0 || math.IsInf(total, 0) || math.IsNaN(total) {
-		nFallbackKrylovJacobi.Add(1)
-		return nil, false, nil
-	}
-	for j := range pi {
-		pi[j] /= total
-	}
-	return pi, true, nil
-}
-
-// biasKrylov attempts the Poisson equation by the same deflation:
+// biasKrylov attempts the Poisson equation by rank-one deflation:
 // pinning h at 0 on one recurrent reference state makes the system over
 // the remaining states nonsingular (the chain is unichain with no
 // absorbing states when this path runs), so one Krylov solve replaces
@@ -480,10 +394,6 @@ func (c *CTMC) biasKrylov(reward []float64, gain float64, ref int, opts SolveOpt
 		rhs[i] = reward[s] - gain
 		x[i] = 0
 	}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
 	probe := func(iter int, res float64) error {
 		if perr := opts.canceled("bias", iter); perr != nil {
 			return perr
@@ -493,7 +403,7 @@ func (c *CTMC) biasKrylov(reward []float64, gain float64, ref int, opts SolveOpt
 		}
 		return nil
 	}
-	st, _, _, err := sparse.BiCGSTAB(sub, diag, rhs, x, opts.Tolerance, krylovMaxIter(opts, n-1), workers, &bs.ks, probe)
+	st, _, _, err := sparse.BiCGSTAB(sub, diag, rhs, x, opts.Tolerance, krylovMaxIter(opts, n-1), opts.workers(), &bs.ks, probe)
 	if err != nil {
 		return nil, false, err
 	}

@@ -1,70 +1,36 @@
 package markov
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "sync/atomic"
 
-// Method selects the linear-solver kernel family behind every iterative
-// CTMC analysis. The zero value is MethodAuto.
-type Method string
-
+// Kernel names reported in ConvergenceError.Method and .Fallback. The
+// kernel is chosen per linear system from its structure, never from an
+// option:
+//
+//   - Stationary balance systems (singular, one per BSCC) run in-place
+//     Gauss–Seidel sweeps at every size: on an irreducible chain they
+//     converge in tens of sweeps, which no Krylov iteration count beats.
+//     A sweep that stagnates (its order fighting the cycle structure)
+//     switches to damped Jacobi, semiconvergent on every irreducible
+//     component.
+//   - Hitting-type systems (absorption weights, expected first passage)
+//     are solved block by block over the SCC decomposition: blocks of
+//     at least krylovMinStates unknowns run BiCGSTAB, smaller ones
+//     Gauss–Seidel. A Krylov breakdown or stall falls back to damped
+//     Jacobi sweeps.
+//   - The Poisson (bias) equation runs one deflated BiCGSTAB solve when
+//     the system has at least krylovMinStates unknowns and no absorbing
+//     boundary, and damped Jacobi sweeps otherwise.
+//
+// SolveOptions.Workers only shards the kernels whose result does not
+// depend on the sharding (the BiCGSTAB matvec and the damped-Jacobi
+// sweeps), so the worker count never changes a result.
 const (
-	// MethodAuto (the default) picks per linear system. The nonsingular
-	// hitting-type systems (absorption weights, expected first passage,
-	// Poisson bias) are restructured into SCC-topological block solves,
-	// and blocks of at least krylovMinStates unknowns use the BiCGSTAB
-	// kernel (Gauss–Seidel sweeps below). Singular stationary balance
-	// systems keep the Gauss–Seidel sweeps at every size — on an
-	// irreducible chain those converge in tens of sweeps, which no
-	// Krylov iteration count beats — and take their speedup from setup
-	// elimination instead: two BFS passes replace the Tarjan
-	// decomposition when the chain is one component, and a BSCC covering
-	// the whole chain skips the submatrix compaction.
-	MethodAuto Method = "auto"
-	// MethodGS forces the legacy sweep path exactly as it ran before the
-	// Krylov kernels existed: global Gauss–Seidel sweeps (damped Jacobi
-	// when Workers > 1), no block restructuring. The retained
-	// differential reference.
-	MethodGS Method = "gs"
-	// MethodJacobi forces damped Jacobi sweeps on the legacy global
-	// structure (the parallel kernel, sequential when Workers <= 1).
-	MethodJacobi Method = "jacobi"
-	// MethodBiCGSTAB forces the Krylov kernel on every system regardless
-	// of size, with the SCC-topological block restructuring; breakdown
-	// or stagnation falls back to damped Jacobi sweeps per system.
-	MethodBiCGSTAB Method = "bicgstab"
+	kernelGS       = "gs"
+	kernelJacobi   = "jacobi"
+	kernelBiCGSTAB = "bicgstab"
 )
 
-// ParseMethod normalizes and validates a solver-method name. The empty
-// string and "auto" both select MethodAuto.
-func ParseMethod(s string) (Method, error) {
-	switch Method(s) {
-	case "", MethodAuto:
-		return MethodAuto, nil
-	case MethodGS:
-		return MethodGS, nil
-	case MethodJacobi:
-		return MethodJacobi, nil
-	case MethodBiCGSTAB:
-		return MethodBiCGSTAB, nil
-	}
-	return "", fmt.Errorf("markov: unknown solver method %q (want auto, gs, jacobi or bicgstab)", s)
-}
-
-// resolve applies the option defaults and validates/normalizes the
-// method selection; every public solver entry point calls it once.
-func (o SolveOptions) resolve() (SolveOptions, error) {
-	o = o.withDefaults()
-	m, err := ParseMethod(string(o.Method))
-	if err != nil {
-		return o, err
-	}
-	o.Method = m
-	return o, nil
-}
-
-// krylovMinStates is the auto-selection threshold: below it the setup and
+// krylovMinStates is the Krylov threshold: below it the setup and
 // per-iteration vector overhead of BiCGSTAB outweighs the sweep count it
 // saves, so small blocks keep Gauss–Seidel.
 const krylovMinStates = 128
@@ -89,26 +55,7 @@ func krylovMaxIter(opts SolveOptions, n int) int {
 	return max
 }
 
-// legacy reports whether the options force the pre-Krylov global sweep
-// structure (the bit-for-bit retained reference paths).
-func (o SolveOptions) legacy() bool {
-	return o.Method == MethodGS || o.Method == MethodJacobi
-}
-
-// blockMethod resolves the method for one hitting-type (nonsingular)
-// linear system of n unknowns; stationary balance systems consult
-// opts.Method directly (auto keeps sweeps there, see MethodAuto).
-func (o SolveOptions) blockMethod(n int) Method {
-	if o.Method == MethodBiCGSTAB {
-		return MethodBiCGSTAB
-	}
-	if n >= krylovMinStates {
-		return MethodBiCGSTAB
-	}
-	return MethodGS
-}
-
-// Process-wide fallback counters: every method downgrade is counted so
+// Process-wide fallback counters: every kernel downgrade is counted so
 // the serve layer can surface solver regressions (a chain family that
 // suddenly starts breaking down shows up in GET /v1/stats).
 var (
@@ -116,7 +63,7 @@ var (
 	nFallbackKrylovJacobi atomic.Int64
 )
 
-// FallbackStats counts solver-method fallbacks since process start.
+// FallbackStats counts solver-kernel fallbacks since process start.
 type FallbackStats struct {
 	// GSToJacobi counts stationary Gauss–Seidel sweeps that stagnated
 	// (sweep order fighting the cycle structure) and switched to the

@@ -8,17 +8,57 @@ import (
 	"testing/quick"
 )
 
+// gaussSolve solves the dense system given as an augmented n×(n+1)
+// matrix by Gaussian elimination with partial pivoting: the enumerative
+// reference every iterative kernel is checked against.
+func gaussSolve(t *testing.T, a [][]float64) []float64 {
+	t.Helper()
+	n := len(a)
+	for col := 0; col < n; col++ {
+		piv := col
+		for r := col + 1; r < n; r++ {
+			if math.Abs(a[r][col]) > math.Abs(a[piv][col]) {
+				piv = r
+			}
+		}
+		a[col], a[piv] = a[piv], a[col]
+		if a[col][col] == 0 {
+			t.Fatal("singular dense system")
+		}
+		for r := col + 1; r < n; r++ {
+			f := a[r][col] / a[col][col]
+			for k := col; k <= n; k++ {
+				a[r][k] -= f * a[col][k]
+			}
+		}
+	}
+	x := make([]float64, n)
+	for r := n - 1; r >= 0; r-- {
+		sum := a[r][n]
+		for k := r + 1; k < n; k++ {
+			sum -= a[r][k] * x[k]
+		}
+		x[r] = sum / a[r][r]
+	}
+	return x
+}
+
+// augmented allocates a zero n×(n+1) system.
+func augmented(n int) [][]float64 {
+	a := make([][]float64, n)
+	for i := range a {
+		a[i] = make([]float64, n+1)
+	}
+	return a
+}
+
 // denseStationary solves the stationary distribution by Gaussian
 // elimination on the full balance system (last equation replaced by the
-// normalization), the enumerative reference for the iterative methods.
-// Only valid for irreducible chains.
+// normalization). Only valid for irreducible chains.
 func denseStationary(t *testing.T, c *CTMC) []float64 {
 	t.Helper()
 	n := c.NumStates()
-	a := make([][]float64, n)
-	for j := range a {
-		a[j] = make([]float64, n+1)
-	}
+	a := augmented(n)
 	// Equation j: sum_i pi_i rate(i->j) - pi_j exit_j = 0.
 	c.EachTransition(func(tr Transition) {
 		a[tr.Dst][tr.Src] += tr.Rate
@@ -30,31 +70,84 @@ func denseStationary(t *testing.T, c *CTMC) []float64 {
 		a[n-1][i] = 1
 	}
 	a[n-1][n] = 1
-	for col := 0; col < n; col++ {
-		piv := col
-		for r := col + 1; r < n; r++ {
-			if math.Abs(a[r][col]) > math.Abs(a[piv][col]) {
-				piv = r
-			}
+	return gaussSolve(t, a)
+}
+
+// denseHitting solves the expected time to reach the targets from every
+// state by Gaussian elimination: exit_s h_s − Σ rate(s→d) h_d = 1 off
+// the targets, h = 0 on them.
+func denseHitting(t *testing.T, c *CTMC, targets []int) []float64 {
+	t.Helper()
+	n := c.NumStates()
+	isTarget := make([]bool, n)
+	for _, s := range targets {
+		isTarget[s] = true
+	}
+	a := augmented(n)
+	for s := 0; s < n; s++ {
+		if isTarget[s] {
+			a[s][s] = 1
+			continue
 		}
-		a[col], a[piv] = a[piv], a[col]
-		if a[col][col] == 0 {
-			t.Fatal("singular dense stationary system")
+		a[s][s] = c.ExitRate(s)
+		a[s][n] = 1
+	}
+	c.EachTransition(func(tr Transition) {
+		if !isTarget[tr.Src] {
+			a[tr.Src][tr.Dst] -= tr.Rate
 		}
-		for r := col + 1; r < n; r++ {
-			f := a[r][col] / a[col][col]
-			for k := col; k <= n; k++ {
-				a[r][k] -= f * a[col][k]
-			}
+	})
+	return gaussSolve(t, a)
+}
+
+// denseSteadyState is the limiting distribution of a chain with any
+// number of BSCCs: each BSCC's dense local stationary distribution,
+// weighted by the dense absorption probability into it from the initial
+// state.
+func denseSteadyState(t *testing.T, c *CTMC) []float64 {
+	t.Helper()
+	n := c.NumStates()
+	bsccs := c.bsccs()
+	inB := make([]int, n)
+	local := make([]int, n)
+	for s := range inB {
+		inB[s] = -1
+	}
+	for bi, members := range bsccs {
+		for i, s := range members {
+			inB[s], local[s] = bi, i
 		}
 	}
 	pi := make([]float64, n)
-	for r := n - 1; r >= 0; r-- {
-		sum := a[r][n]
-		for k := r + 1; k < n; k++ {
-			sum -= a[r][k] * pi[k]
+	for bi, members := range bsccs {
+		a := augmented(n)
+		for s := 0; s < n; s++ {
+			switch {
+			case inB[s] == bi:
+				a[s][s], a[s][n] = 1, 1
+			case inB[s] >= 0:
+				a[s][s] = 1
+			default:
+				a[s][s] = c.ExitRate(s)
+			}
 		}
-		pi[r] = sum / a[r][r]
+		sub := NewCTMC(len(members))
+		c.EachTransition(func(tr Transition) {
+			if inB[tr.Src] < 0 {
+				a[tr.Src][tr.Dst] -= tr.Rate
+			}
+			if inB[tr.Src] == bi {
+				sub.MustAdd(local[tr.Src], local[tr.Dst], tr.Rate, "")
+			}
+		})
+		w := gaussSolve(t, a)[c.Initial()]
+		lp := []float64{1}
+		if len(members) > 1 {
+			lp = denseStationary(t, sub)
+		}
+		for i, s := range members {
+			pi[s] = w * lp[i]
+		}
 	}
 	return pi
 }
@@ -69,19 +162,49 @@ func maxDiff(a, b []float64) float64 {
 	return max
 }
 
-// TestQuickMethodsAgreeOnStationary: BiCGSTAB == GS == enumerative
-// closure on random irreducible CTMCs.
+// randIrreducible builds an n-state ring with chords random chords,
+// rates drawn from rate.
+func randIrreducible(rng *rand.Rand, n, chords int, rate func() float64) *CTMC {
+	c := NewCTMC(n)
+	for i := 0; i < n; i++ {
+		c.MustAdd(i, (i+1)%n, rate(), "")
+	}
+	for e := 0; e < chords; e++ {
+		src, dst := rng.Intn(n), rng.Intn(n)
+		if src != dst {
+			c.MustAdd(src, dst, rate(), "")
+		}
+	}
+	return c
+}
+
+// uniformRate draws rates from [0.2, 4.2).
+func uniformRate(rng *rand.Rand) func() float64 {
+	return func() float64 { return 0.2 + 4*rng.Float64() }
+}
+
+// withKrylovCap runs f with BiCGSTAB capped at one iteration, so every
+// Krylov attempt stalls into the damped-Jacobi fallback.
+func withKrylovCap(f func()) {
+	krylovIterCap = 1
+	defer func() { krylovIterCap = 0 }()
+	f()
+}
+
+// TestQuickMethodsAgreeOnStationary: the stationary sweep agrees with
+// the dense Gaussian-elimination reference on random irreducible CTMCs,
+// sequential and sharded.
 func TestQuickMethodsAgreeOnStationary(t *testing.T) {
 	prop := func(r randChain) bool {
 		ref := denseStationary(t, r.C)
-		for _, m := range []Method{MethodGS, MethodAuto, MethodBiCGSTAB, MethodJacobi} {
-			pi, err := r.C.SteadyState(SolveOptions{Method: m})
+		for _, workers := range []int{0, 4} {
+			pi, err := r.C.SteadyState(SolveOptions{Workers: workers})
 			if err != nil {
-				t.Logf("method %s: %v", m, err)
+				t.Logf("workers %d: %v", workers, err)
 				return false
 			}
 			if d := maxDiff(pi, ref); d > 1e-8 {
-				t.Logf("method %s diverges from dense reference by %g", m, d)
+				t.Logf("workers %d diverges from dense reference by %g", workers, d)
 				return false
 			}
 		}
@@ -93,146 +216,137 @@ func TestQuickMethodsAgreeOnStationary(t *testing.T) {
 }
 
 // TestMethodsAgreeOnStiffChains spreads rates across six orders of
-// magnitude; the Krylov path must agree with the sweep reference (or
-// fall back) without losing the distribution.
+// magnitude; the stationary sweeps must still match the dense reference.
 func TestMethodsAgreeOnStiffChains(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
+	stiff := func() float64 { return math.Pow(10, 3-6*rng.Float64()) }
 	for trial := 0; trial < 15; trial++ {
 		n := 5 + rng.Intn(40)
-		c := NewCTMC(n)
-		for i := 0; i < n; i++ {
-			c.MustAdd(i, (i+1)%n, math.Pow(10, 3-6*rng.Float64()), "")
-		}
-		for e := 0; e < n; e++ {
-			src, dst := rng.Intn(n), rng.Intn(n)
-			if src != dst {
-				c.MustAdd(src, dst, math.Pow(10, 3-6*rng.Float64()), "")
-			}
-		}
-		gs, err := c.SteadyState(SolveOptions{Method: MethodGS})
+		c := randIrreducible(rng, n, n, stiff)
+		ref := denseStationary(t, c)
+		pi, err := c.SteadyState(SolveOptions{})
 		if err != nil {
-			t.Fatalf("trial %d gs: %v", trial, err)
+			t.Fatalf("trial %d: %v", trial, err)
 		}
-		kr, err := c.SteadyState(SolveOptions{Method: MethodBiCGSTAB})
-		if err != nil {
-			t.Fatalf("trial %d bicgstab: %v", trial, err)
-		}
-		for i := range gs {
-			if d := math.Abs(gs[i] - kr[i]); d > 1e-7*(1+gs[i]) {
-				t.Fatalf("trial %d state %d: gs %g vs bicgstab %g", trial, i, gs[i], kr[i])
+		for i := range ref {
+			if d := math.Abs(pi[i] - ref[i]); d > 1e-7*(1+ref[i]) {
+				t.Fatalf("trial %d state %d: pi %g vs dense %g", trial, i, pi[i], ref[i])
 			}
 		}
 	}
 }
 
-// TestBiCGSTABOnPeriodicRing: a pure cycle oriented against the sweep
-// order is the classic stagnation case for Gauss–Seidel and a periodic
-// (hence hard) operator for Krylov methods; the solve must still return
-// the uniform distribution, by kernel or by fallback.
-func TestBiCGSTABOnPeriodicRing(t *testing.T) {
-	for _, n := range []int{7, 301} {
-		c := NewCTMC(n)
-		for i := 0; i < n; i++ {
-			c.MustAdd((i+1)%n, i, 1, "")
+// randMultiBSCCMesh builds a strongly connected transient mesh of the
+// given size (ring plus chords) in which every eighth state also exits
+// into one of several three-state BSCC rings: the adjoint absorption
+// system is one block large enough for BiCGSTAB.
+func randMultiBSCCMesh(rng *rand.Rand, transient, bsccs int) *CTMC {
+	const ring = 3
+	c := NewCTMC(transient + bsccs*ring)
+	for i := 0; i < transient; i++ {
+		c.MustAdd(i, (i+1)%transient, 0.5+2*rng.Float64(), "")
+		if j := rng.Intn(transient); j != i {
+			c.MustAdd(i, j, 0.2+rng.Float64(), "")
 		}
-		pi, err := c.SteadyState(SolveOptions{Method: MethodBiCGSTAB})
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		for i, p := range pi {
-			almost(t, p, 1/float64(n), 1e-9, "periodic ring pi")
-			_ = i
+		if i%8 == 0 {
+			c.MustAdd(i, transient+rng.Intn(bsccs*ring), 0.3+rng.Float64(), "")
 		}
 	}
+	for b := 0; b < bsccs; b++ {
+		base := transient + b*ring
+		for k := 0; k < ring; k++ {
+			c.MustAdd(base+k, base+(k+1)%ring, 0.4+3*rng.Float64(), "")
+		}
+	}
+	return c
 }
 
 // TestMethodsAgreeOnMultiBSCCAbsorption compares the block-structured
-// absorption path (auto / forced Krylov, sequential and parallel)
-// against the legacy global sweeps on multi-BSCC fixtures.
+// absorption path — Gauss–Seidel on small blocks, BiCGSTAB on the large
+// mesh, and the damped-Jacobi fallback of a stalled Krylov solve,
+// sequential and sharded — against the dense reference.
 func TestMethodsAgreeOnMultiBSCCAbsorption(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
-	for trial := 0; trial < 15; trial++ {
-		c := randMultiBSCC(rng, 2+rng.Intn(4))
-		ref, err := c.SteadyState(SolveOptions{Method: MethodGS})
-		if err != nil {
-			t.Fatalf("trial %d gs: %v", trial, err)
-		}
-		for _, opts := range []SolveOptions{
-			{Method: MethodAuto},
-			{Method: MethodBiCGSTAB},
-			{Method: MethodBiCGSTAB, Workers: 4},
-			{Method: MethodJacobi},
-		} {
-			pi, err := c.SteadyState(opts)
+	var chains []*CTMC
+	for trial := 0; trial < 12; trial++ {
+		chains = append(chains, randMultiBSCC(rng, 2+rng.Intn(4), false))
+	}
+	for trial := 0; trial < 3; trial++ {
+		chains = append(chains, randMultiBSCCMesh(rng, 2*krylovMinStates, 2+rng.Intn(4)))
+	}
+	check := func(what string, ci int, c *CTMC, ref []float64) {
+		for _, workers := range []int{0, 4} {
+			pi, err := c.SteadyState(SolveOptions{Workers: workers})
 			if err != nil {
-				t.Fatalf("trial %d method %s workers %d: %v", trial, opts.Method, opts.Workers, err)
+				t.Fatalf("%s chain %d workers %d: %v", what, ci, workers, err)
 			}
 			if d := maxDiff(pi, ref); d > 1e-8 {
-				t.Fatalf("trial %d method %s workers %d: diff %g from gs reference", trial, opts.Method, opts.Workers, d)
+				t.Fatalf("%s chain %d workers %d: diff %g from dense reference", what, ci, workers, d)
 			}
 		}
+	}
+	for ci, c := range chains {
+		ref := denseSteadyState(t, c)
+		check("default", ci, c, ref)
+		withKrylovCap(func() { check("krylov-capped", ci, c, ref) })
 	}
 }
 
 // TestHittingBlocksMatchLegacy compares the SCC-block first-passage
-// solver against the legacy global sweep on a birth-death chain and on
-// random irreducible chains.
+// solver against the dense reference on a birth-death chain, on random
+// irreducible chains, and on one chain whose block is large enough for
+// BiCGSTAB (also with the Krylov budget capped into the fallback).
 func TestHittingBlocksMatchLegacy(t *testing.T) {
 	chains := []*CTMC{mm1k(1.5, 2, 60)}
 	rng := rand.New(rand.NewSource(93))
 	for trial := 0; trial < 10; trial++ {
 		n := 3 + rng.Intn(30)
-		c := NewCTMC(n)
-		for i := 0; i < n; i++ {
-			c.MustAdd(i, (i+1)%n, 0.2+4*rng.Float64(), "")
-		}
-		for e := 0; e < n; e++ {
-			src, dst := rng.Intn(n), rng.Intn(n)
-			if src != dst {
-				c.MustAdd(src, dst, 0.2+4*rng.Float64(), "")
-			}
-		}
-		chains = append(chains, c)
+		chains = append(chains, randIrreducible(rng, n, n, uniformRate(rng)))
 	}
-	for ci, c := range chains {
-		ref, err := c.ExpectedTimeToAbsorption([]int{0}, SolveOptions{Method: MethodGS})
-		if err != nil {
-			t.Fatalf("chain %d gs: %v", ci, err)
-		}
-		for _, m := range []Method{MethodAuto, MethodBiCGSTAB} {
-			h, err := c.ExpectedTimeToAbsorption([]int{0}, SolveOptions{Method: m})
+	chains = append(chains, randIrreducible(rng, 300, 300, uniformRate(rng)))
+	check := func(what string, ci int, c *CTMC, ref []float64) {
+		for _, workers := range []int{0, 4} {
+			h, err := c.ExpectedTimeToAbsorption([]int{0}, SolveOptions{Workers: workers})
 			if err != nil {
-				t.Fatalf("chain %d method %s: %v", ci, m, err)
+				t.Fatalf("%s chain %d workers %d: %v", what, ci, workers, err)
 			}
 			for s := range h {
 				if d := math.Abs(h[s] - ref[s]); d > 1e-7*(1+ref[s]) {
-					t.Fatalf("chain %d method %s state %d: %g vs %g", ci, m, s, h[s], ref[s])
+					t.Fatalf("%s chain %d workers %d state %d: %g vs dense %g", what, ci, workers, s, h[s], ref[s])
 				}
 			}
 		}
 	}
+	for ci, c := range chains {
+		ref := denseHitting(t, c, []int{0})
+		check("default", ci, c, ref)
+		withKrylovCap(func() { check("krylov-capped", ci, c, ref) })
+	}
 }
 
 // TestBiasKrylovMatchesSweeps: the deflated Poisson solve must agree
-// with the projected damped-Jacobi iteration up to tolerance.
+// with the projected damped-Jacobi iteration (reached by capping the
+// Krylov budget) up to tolerance.
 func TestBiasKrylovMatchesSweeps(t *testing.T) {
-	c := mm1k(1.5, 2, 80)
+	c := mm1k(1.5, 2, 2*krylovMinStates)
 	rng := rand.New(rand.NewSource(94))
 	n := c.NumStates()
 	reward := make([]float64, n)
 	for i := range reward {
 		reward[i] = rng.Float64() * 3
 	}
-	pi, err := c.SteadyState(SolveOptions{Method: MethodGS})
+	gain := ExpectedReward(denseStationary(t, c), reward)
+	var ref []float64
+	var err error
+	before := Fallbacks().BiCGSTABToJacobi
+	withKrylovCap(func() { ref, err = c.Bias(reward, gain, SolveOptions{}) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	gain := ExpectedReward(pi, reward)
-	ref, err := c.Bias(reward, gain, SolveOptions{Method: MethodGS})
-	if err != nil {
-		t.Fatal(err)
+	if Fallbacks().BiCGSTABToJacobi == before {
+		t.Fatal("capped bias solve did not fall back to the sweeps")
 	}
-	h, err := c.Bias(reward, gain, SolveOptions{Method: MethodBiCGSTAB})
+	h, err := c.Bias(reward, gain, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,21 +364,21 @@ func TestBiasKrylovMatchesSweeps(t *testing.T) {
 }
 
 // TestKrylovFallbackForcedAndCounted caps the Krylov budget at one
-// iteration so every BiCGSTAB attempt stalls: the solve must still
-// produce the right distribution through the damped-Jacobi fallback,
-// and the process-wide fallback counter must tick.
+// iteration so every BiCGSTAB attempt stalls: the first-passage solve
+// must still produce the right times through the damped-Jacobi
+// fallback, and the process-wide fallback counter must tick.
 func TestKrylovFallbackForcedAndCounted(t *testing.T) {
-	krylovIterCap = 1
-	defer func() { krylovIterCap = 0 }()
-	before := Fallbacks().BiCGSTABToJacobi
 	c := mm1k(1.5, 2, 200)
-	pi, err := c.SteadyState(SolveOptions{Method: MethodBiCGSTAB})
+	want := denseHitting(t, c, []int{0})
+	before := Fallbacks().BiCGSTABToJacobi
+	var h []float64
+	var err error
+	withKrylovCap(func() { h, err = c.ExpectedTimeToAbsorption([]int{0}, SolveOptions{}) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := mm1kAnalytic(1.5, 2, 200)
-	for i := range pi {
-		almost(t, pi[i], want[i], 1e-8, "fallback pi")
+	for i := range h {
+		almost(t, h[i], want[i], 1e-7*(1+want[i]), "fallback fpt")
 	}
 	if after := Fallbacks().BiCGSTABToJacobi; after <= before {
 		t.Fatalf("fallback counter did not advance: %d -> %d", before, after)
@@ -272,38 +386,20 @@ func TestKrylovFallbackForcedAndCounted(t *testing.T) {
 }
 
 // TestConvergenceErrorRecordsMethodAndFallback: the error must name the
-// selected method and any fallback taken before the budget ran out.
+// kernel that ran and any fallback taken before the budget ran out.
 func TestConvergenceErrorRecordsMethodAndFallback(t *testing.T) {
 	c := mm1k(1.5, 2, 200)
-	_, err := c.SteadyState(SolveOptions{Method: MethodGS, MaxIterations: 2})
+	_, err := c.SteadyState(SolveOptions{MaxIterations: 2})
 	var ce *ConvergenceError
 	if !errors.As(err, &ce) || ce.Method != "gs" || ce.Fallback != "" {
-		t.Fatalf("gs error = %v (%+v)", err, ce)
+		t.Fatalf("steady error = %v (%+v)", err, ce)
 	}
 
-	krylovIterCap = 1
-	defer func() { krylovIterCap = 0 }()
-	_, err = c.SteadyState(SolveOptions{Method: MethodBiCGSTAB, MaxIterations: 3})
+	withKrylovCap(func() {
+		_, err = c.ExpectedTimeToAbsorption([]int{0}, SolveOptions{MaxIterations: 3})
+	})
 	if !errors.As(err, &ce) || ce.Method != "bicgstab" || ce.Fallback != "jacobi" {
-		t.Fatalf("bicgstab error = %v (%+v)", err, ce)
-	}
-}
-
-// TestParseMethodValidation: unknown names are rejected up front, both
-// by ParseMethod and by the solver entry points.
-func TestParseMethodValidation(t *testing.T) {
-	if m, err := ParseMethod(""); err != nil || m != MethodAuto {
-		t.Fatalf("ParseMethod(\"\") = %v, %v", m, err)
-	}
-	if _, err := ParseMethod("sor"); err == nil {
-		t.Fatal("ParseMethod accepted an unknown method")
-	}
-	c := mm1k(1.5, 2, 10)
-	if _, err := c.SteadyState(SolveOptions{Method: "sor"}); err == nil {
-		t.Fatal("SteadyState accepted an unknown method")
-	}
-	if _, err := c.ExpectedTimeToAbsorption([]int{0}, SolveOptions{Method: "sor"}); err == nil {
-		t.Fatal("ExpectedTimeToAbsorption accepted an unknown method")
+		t.Fatalf("fpt error = %v (%+v)", err, ce)
 	}
 }
 
@@ -313,62 +409,18 @@ func TestParseMethodValidation(t *testing.T) {
 // matvec is a per-row gather and all reductions are sequential.
 func TestParallelBiCGSTABMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(95))
-	n := 3000
-	c := NewCTMC(n)
-	for i := 0; i < n; i++ {
-		c.MustAdd(i, (i+1)%n, 0.2+4*rng.Float64(), "")
-	}
-	for e := 0; e < 2*n; e++ {
-		src, dst := rng.Intn(n), rng.Intn(n)
-		if src != dst {
-			c.MustAdd(src, dst, 0.2+4*rng.Float64(), "")
-		}
-	}
-	seq, err := c.SteadyState(SolveOptions{Method: MethodBiCGSTAB})
+	c := randIrreducible(rng, 3000, 6000, uniformRate(rng))
+	seq, err := c.ExpectedTimeToAbsorption([]int{0}, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := c.SteadyState(SolveOptions{Method: MethodBiCGSTAB, Workers: 4})
+	par, err := c.ExpectedTimeToAbsorption([]int{0}, SolveOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range seq {
 		if seq[i] != par[i] {
 			t.Fatalf("worker count changed the Krylov result at state %d: %g vs %g", i, seq[i], par[i])
-		}
-	}
-}
-
-// TestAutoMatchesGSBitForBitOnSmallChains: below the Krylov threshold a
-// single-BSCC auto solve runs the identical legacy code path, so the
-// results must agree to the last bit — forcing Method gs preserves
-// today's defaults exactly.
-func TestAutoMatchesGSBitForBitOnSmallChains(t *testing.T) {
-	rng := rand.New(rand.NewSource(96))
-	for trial := 0; trial < 10; trial++ {
-		n := 2 + rng.Intn(60)
-		c := NewCTMC(n)
-		for i := 0; i < n; i++ {
-			c.MustAdd(i, (i+1)%n, 0.2+4*rng.Float64(), "")
-		}
-		for e := 0; e < n; e++ {
-			src, dst := rng.Intn(n), rng.Intn(n)
-			if src != dst {
-				c.MustAdd(src, dst, 0.2+4*rng.Float64(), "")
-			}
-		}
-		auto, err := c.SteadyState(SolveOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		gs, err := c.SteadyState(SolveOptions{Method: MethodGS})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range auto {
-			if auto[i] != gs[i] {
-				t.Fatalf("trial %d: auto and gs differ at state %d: %g vs %g", trial, i, auto[i], gs[i])
-			}
 		}
 	}
 }

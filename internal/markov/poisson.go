@@ -20,11 +20,13 @@ import (
 // (Howard) policy iteration: a policy switch is profitable exactly when
 // it increases instantaneous reward plus successor bias.
 //
-// The sweep is always the DAMPED Jacobi hitting kernel (sequential on
-// one chunk unless opts.Workers asks for more): the Gauss–Seidel order
-// sweeps along OUTGOING edges, and on a cycle of odd length its
-// iteration operator keeps an eigenvalue of modulus one, so the iterate
-// oscillates forever; the damped Jacobi operator is (I + P)/2 with P the
+// A chain with at least krylovMinStates+1 states and no absorbing
+// boundary solves one deflated BiCGSTAB system (see biasKrylov). Every
+// other chain, and a Krylov breakdown or stall, runs the DAMPED Jacobi
+// hitting kernel (rows sharded across opts.Workers). Gauss–Seidel would
+// not do: its order sweeps along OUTGOING edges, and on a cycle of odd
+// length its iteration operator keeps an eigenvalue of modulus one, so
+// the iterate oscillates forever; the damped Jacobi operator is (I + P)/2 with P the
 // embedded jump chain, whose spectrum it maps strictly inside the unit
 // disk except at the constant direction. That direction is projected to
 // h[initial] = 0 after every sweep; convergence is measured relative to
@@ -34,10 +36,7 @@ import (
 // g) is rejected up front with IrreducibilityError rather than letting
 // the iterate drift through the whole iteration budget.
 func (c *CTMC) Bias(reward []float64, gain float64, opts SolveOptions) ([]float64, error) {
-	opts, err := opts.resolve()
-	if err != nil {
-		return nil, err
-	}
+	opts = opts.withDefaults()
 	n := c.numStates
 	c.matrix() // the bias sweep never reads the incoming view
 	bsccs := c.bsccs()
@@ -47,11 +46,11 @@ func (c *CTMC) Bias(reward []float64, gain float64, opts SolveOptions) ([]float6
 	// Krylov path: when the chain has no absorbing boundary (the usual
 	// unichain case), pinning h at one recurrent reference state makes
 	// the Poisson system nonsingular and one deflated BiCGSTAB solve
-	// replaces the damped sweeps. With an absorbing boundary the legacy
+	// replaces the damped sweeps. With an absorbing boundary the sweep's
 	// projection semantics (absorbing states pinned at 0) differ from
 	// the deflated system, so the sweep path keeps that case.
 	krylovFell := false
-	if !opts.legacy() && opts.blockMethod(n-1) == MethodBiCGSTAB && n > 1 {
+	if n-1 >= krylovMinStates {
 		ref := bsccs[0][0]
 		if c.exitRate[ref] > 0 {
 			h, ok, err := c.biasKrylov(reward, gain, ref, opts)
@@ -74,10 +73,6 @@ func (c *CTMC) Bias(reward []float64, gain float64, opts SolveOptions) ([]float6
 		}
 		b[s] = reward[s] - gain
 	}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
 	h := make([]float64, n)
 	next := make([]float64, n)
 	ref := c.initial
@@ -86,7 +81,7 @@ func (c *CTMC) Bias(reward []float64, gain float64, opts SolveOptions) ([]float6
 		if err := opts.canceled("bias", iter); err != nil {
 			return nil, err
 		}
-		residual = sparse.HittingSweepJacobi(mat, skip, b, c.exitRate, h, next, workers)
+		residual = sparse.HittingSweepJacobi(mat, skip, b, c.exitRate, h, next, opts.workers())
 		h, next = next, h
 		// Project out the constant direction and measure scale.
 		shift := h[ref]
@@ -106,10 +101,10 @@ func (c *CTMC) Bias(reward []float64, gain float64, opts SolveOptions) ([]float6
 			return h, nil
 		}
 	}
-	ce := &ConvergenceError{Iterations: opts.MaxIterations, Residual: residual, Method: string(MethodJacobi)}
+	ce := &ConvergenceError{Iterations: opts.MaxIterations, Residual: residual, Method: kernelJacobi}
 	if krylovFell {
-		ce.Method = string(MethodBiCGSTAB)
-		ce.Fallback = string(MethodJacobi)
+		ce.Method = kernelBiCGSTAB
+		ce.Fallback = kernelJacobi
 	}
 	return nil, ce
 }

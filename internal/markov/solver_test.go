@@ -1,9 +1,11 @@
 package markov
 
-// Differential tests of the CSR sweep kernels: the parallel Jacobi path
-// must agree with the sequential Gauss–Seidel default, both must agree
-// with the discrete-event simulator, and the policy-facing extras (bias,
-// residual reporting, absorb progress) must behave.
+// Tests of the solvers' kernel fallbacks and extras: the damped-Jacobi
+// kernel (reached through Gauss–Seidel stagnation or a stalled Krylov
+// solve) must agree with the dense references and the discrete-event
+// simulator, sharding across workers must not change a result, and the
+// policy-facing extras (bias, residual reporting, absorb progress) must
+// behave.
 
 import (
 	"errors"
@@ -15,12 +17,14 @@ import (
 	"multival/internal/engine"
 )
 
-// jacobiOpts selects the parallel Jacobi kernels.
+// jacobiOpts shards the row-parallel kernels across four workers.
 func jacobiOpts() SolveOptions { return SolveOptions{Workers: 4} }
 
 // randMultiBSCC builds a chain with a transient prefix that branches into
-// several BSCC rings, exercising absorption weighting.
-func randMultiBSCC(rng *rand.Rand, bsccs int) *CTMC {
+// several BSCC rings, exercising absorption weighting. With reverse set
+// the rings run against the state order, so the stationary Gauss–Seidel
+// sweep inside each BSCC stagnates and falls back to damped Jacobi.
+func randMultiBSCC(rng *rand.Rand, bsccs int, reverse bool) *CTMC {
 	const prefix = 6
 	ring := 3
 	n := prefix + bsccs*ring
@@ -34,7 +38,11 @@ func randMultiBSCC(rng *rand.Rand, bsccs int) *CTMC {
 		// Entry from a random transient state.
 		c.MustAdd(rng.Intn(prefix), base, 0.3+rng.Float64()*2, "")
 		for k := 0; k < ring; k++ {
-			c.MustAdd(base+k, base+(k+1)%ring, 0.4+rng.Float64()*3, "")
+			src, dst := base+k, base+(k+1)%ring
+			if reverse {
+				src, dst = dst, src
+			}
+			c.MustAdd(src, dst, 0.4+rng.Float64()*3, "")
 		}
 	}
 	// Ensure the last transient state exits (it may only have the chain
@@ -45,54 +53,62 @@ func randMultiBSCC(rng *rand.Rand, bsccs int) *CTMC {
 	return c
 }
 
+// reversedRing builds an odd ring oriented against the state order with
+// random rates: the stationary Gauss–Seidel sweep oscillates on it, so
+// the solve runs the damped-Jacobi fallback.
+func reversedRing(rng *rand.Rand, n int) *CTMC {
+	c := NewCTMC(n)
+	for i := 0; i < n; i++ {
+		c.MustAdd((i+1)%n, i, 0.5+2*rng.Float64(), "")
+	}
+	return c
+}
+
 func TestJacobiMatchesGaussSeidelSteadyState(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
+	var chains []*CTMC
 	for trial := 0; trial < 20; trial++ {
 		n := 2 + rng.Intn(30)
-		c := NewCTMC(n)
-		for i := 0; i < n; i++ {
-			c.MustAdd(i, (i+1)%n, 0.2+4*rng.Float64(), "")
-		}
-		for e := 0; e < 2*n; e++ {
-			src, dst := rng.Intn(n), rng.Intn(n)
-			if src != dst {
-				c.MustAdd(src, dst, 0.2+4*rng.Float64(), "")
-			}
-		}
-		gs, err := c.SteadyState(SolveOptions{})
+		chains = append(chains, randIrreducible(rng, n, 2*n, uniformRate(rng)))
+	}
+	before := Fallbacks().GSToJacobi
+	for _, n := range []int{3, 7, 31} {
+		chains = append(chains, reversedRing(rng, n))
+	}
+	for ci, c := range chains {
+		ref := denseStationary(t, c)
+		pi, err := c.SteadyState(SolveOptions{})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("chain %d: %v", ci, err)
 		}
-		jac, err := c.SteadyState(jacobiOpts())
-		if err != nil {
-			t.Fatal(err)
+		for i := range ref {
+			almost(t, pi[i], ref[i], 1e-8, "steady state vs dense pi")
 		}
-		for i := range gs {
-			almost(t, jac[i], gs[i], 1e-8, "jacobi vs gauss-seidel pi")
-		}
+	}
+	if Fallbacks().GSToJacobi < before+3 {
+		t.Fatalf("reversed rings did not fall back to Jacobi: %d -> %d", before, Fallbacks().GSToJacobi)
 	}
 }
 
 func TestJacobiMatchesGaussSeidelMultiBSCC(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	for trial := 0; trial < 10; trial++ {
-		c := randMultiBSCC(rng, 2+rng.Intn(3))
-		gs, err := c.SteadyState(SolveOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		jac, err := c.SteadyState(jacobiOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range gs {
-			almost(t, jac[i], gs[i], 1e-7, "multi-BSCC jacobi vs gauss-seidel")
+		c := randMultiBSCC(rng, 2+rng.Intn(3), trial%2 == 1)
+		ref := denseSteadyState(t, c)
+		for _, opts := range []SolveOptions{{}, jacobiOpts()} {
+			pi, err := c.SteadyState(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range ref {
+				almost(t, pi[i], ref[i], 1e-7, "multi-BSCC pi vs dense")
+			}
 		}
 	}
 }
 
 func TestJacobiMatchesSimulator(t *testing.T) {
-	c := mm1k(1.5, 2, 4)
+	c := reversedRing(rand.New(rand.NewSource(98)), 5)
 	pi, err := c.SteadyState(jacobiOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -105,23 +121,25 @@ func TestJacobiMatchesSimulator(t *testing.T) {
 
 func TestJacobiMatchesGaussSeidelAbsorptionTime(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
+	var chains []*CTMC
 	for trial := 0; trial < 10; trial++ {
 		n := 3 + rng.Intn(20)
-		c := NewCTMC(n)
-		for i := 0; i < n; i++ {
-			c.MustAdd(i, (i+1)%n, 0.2+4*rng.Float64(), "")
-		}
-		target := rng.Intn(n)
-		gs, err := c.ExpectedTimeToAbsorption([]int{target}, SolveOptions{})
+		chains = append(chains, randIrreducible(rng, n, 0, uniformRate(rng)))
+	}
+	// A block above the Krylov threshold, solved with the Krylov
+	// budget capped so the damped-Jacobi fallback does the work.
+	chains = append(chains, randIrreducible(rng, 150, 150, uniformRate(rng)))
+	for ci, c := range chains {
+		target := rng.Intn(c.NumStates())
+		ref := denseHitting(t, c, []int{target})
+		var h []float64
+		var err error
+		withKrylovCap(func() { h, err = c.ExpectedTimeToAbsorption([]int{target}, jacobiOpts()) })
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("chain %d: %v", ci, err)
 		}
-		jac, err := c.ExpectedTimeToAbsorption([]int{target}, jacobiOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range gs {
-			almost(t, jac[i], gs[i], 1e-7*(1+gs[i]), "jacobi vs gauss-seidel fpt")
+		for i := range ref {
+			almost(t, h[i], ref[i], 1e-7*(1+ref[i]), "fpt vs dense")
 		}
 	}
 }
@@ -129,7 +147,7 @@ func TestJacobiMatchesGaussSeidelAbsorptionTime(t *testing.T) {
 func TestJacobiMatchesGaussSeidelTransient(t *testing.T) {
 	c := mm1k(2, 2, 8)
 	for _, tm := range []float64{0.3, 2, 15} {
-		gs, err := c.Transient(tm, SolveOptions{})
+		seq, err := c.Transient(tm, SolveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,8 +155,10 @@ func TestJacobiMatchesGaussSeidelTransient(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range gs {
-			almost(t, par[i], gs[i], 1e-10, "parallel vs sequential transient")
+		for i := range seq {
+			if seq[i] != par[i] {
+				t.Fatalf("t=%g state %d: workers changed the transient result: %g vs %g", tm, i, par[i], seq[i])
+			}
 		}
 	}
 }
@@ -170,8 +190,8 @@ func TestAbsorptionReportsProgress(t *testing.T) {
 }
 
 func TestAbsorptionSolvesOneFewerSystem(t *testing.T) {
-	// With k BSCCs only k-1 systems are solved; the last weight is the
-	// complement. The 3-BSCC fan: 0 -> {1}, {2}, {3} with rates 1, 2, 1.
+	// One adjoint solve yields every BSCC weight, and the weights sum
+	// to one. The 3-BSCC fan: 0 -> {1}, {2}, {3} with rates 1, 2, 1.
 	c := NewCTMC(4)
 	c.MustAdd(0, 1, 1, "")
 	c.MustAdd(0, 2, 2, "")
@@ -182,7 +202,7 @@ func TestAbsorptionSolvesOneFewerSystem(t *testing.T) {
 	}
 	almost(t, pi[1], 0.25, 1e-9, "weight 1")
 	almost(t, pi[2], 0.50, 1e-9, "weight 2")
-	almost(t, pi[3], 0.25, 1e-9, "weight 3 (complement)")
+	almost(t, pi[3], 0.25, 1e-9, "weight 3")
 	sum := pi[1] + pi[2] + pi[3]
 	almost(t, sum, 1, 1e-12, "weights sum")
 }

@@ -16,11 +16,11 @@ type SolveOptions struct {
 	Tolerance float64
 	// MaxIterations bounds the iteration count (default 1_000_000).
 	MaxIterations int
-	// Workers selects the solver kernel: values above 1 run the
-	// parallel Jacobi sweeps (rows chunk-sharded across that many
-	// goroutines) and the parallel uniformization product; 0 or 1 keeps
-	// the sequential Gauss–Seidel default, which needs fewer sweeps to
-	// converge on one core.
+	// Workers shards the row-parallel kernels — the BiCGSTAB matvec and
+	// the damped-Jacobi fallback and bias sweeps — across that many
+	// goroutines (0 or 1 = sequential). It shards work and never changes
+	// a result: every kernel it reaches returns the same bits at any
+	// worker count.
 	Workers int
 	// Ctx, when non-nil, cancels the solver: every sweep and
 	// uniformization step checks it, and the solve returns Ctx.Err()
@@ -32,14 +32,6 @@ type SolveOptions struct {
 	// "absorb", "fpt", "bias" or "transient"; Round is the sweep
 	// number, Residual the current max-norm delta).
 	Progress engine.ProgressFunc
-	// Method selects the linear-solver kernel family: MethodAuto (the
-	// zero value) restructures the hitting-type analyses into
-	// SCC-topological block solves with BiCGSTAB on large blocks, while
-	// stationary balance systems keep Gauss–Seidel sweeps; MethodGS and
-	// MethodJacobi force the legacy global sweep paths bit-for-bit;
-	// MethodBiCGSTAB forces the Krylov kernel on every system. See the
-	// Method constants.
-	Method Method
 }
 
 func (o SolveOptions) withDefaults() SolveOptions {
@@ -52,9 +44,13 @@ func (o SolveOptions) withDefaults() SolveOptions {
 	return o
 }
 
-// parallel reports whether the options select the parallel Jacobi
-// kernels.
-func (o SolveOptions) parallel() bool { return o.Workers > 1 }
+// workers returns the shard count of the row-parallel kernels.
+func (o SolveOptions) workers() int {
+	if o.Workers < 1 {
+		return 1
+	}
+	return o.Workers
+}
 
 // canceled returns the wrapped context error once the solve's context is
 // done, nil otherwise.
@@ -73,9 +69,8 @@ const progressEvery = 128
 type ConvergenceError struct {
 	Iterations int
 	Residual   float64
-	// Method names the solver kernel the options selected for the
-	// failing system ("gs", "jacobi", "bicgstab"; empty on paths that
-	// predate method selection).
+	// Method names the solver kernel that ran on the failing system
+	// ("gs", "jacobi" or "bicgstab").
 	Method string
 	// Fallback names the kernel the solve downgraded to before
 	// exhausting the budget (GS stagnation → "jacobi", BiCGSTAB
@@ -84,12 +79,9 @@ type ConvergenceError struct {
 }
 
 func (e *ConvergenceError) Error() string {
-	msg := fmt.Sprintf("markov: no convergence after %d iterations (residual %g", e.Iterations, e.Residual)
-	if e.Method != "" {
-		msg += ", method " + e.Method
-		if e.Fallback != "" {
-			msg += ", fell back to " + e.Fallback
-		}
+	msg := fmt.Sprintf("markov: no convergence after %d iterations (residual %g, method %s", e.Iterations, e.Residual, e.Method)
+	if e.Fallback != "" {
+		msg += ", fell back to " + e.Fallback
 	}
 	return msg + ")"
 }
@@ -120,34 +112,28 @@ func (e *IrreducibilityError) Unwrap() error { return engine.ErrNotIrreducible }
 // stationary distributions are weighted by the probability of absorption
 // into each BSCC from the initial state.
 func (c *CTMC) SteadyState(opts SolveOptions) ([]float64, error) {
-	opts, err := opts.resolve()
-	if err != nil {
-		return nil, err
-	}
+	opts = opts.withDefaults()
 	n := c.numStates
 	if n == 0 {
 		return nil, fmt.Errorf("markov: empty chain")
 	}
-	// The block path needs the full SCC decomposition (transient
-	// components included); the legacy path only the bottoms — except
-	// when two BFS passes prove the chain is one strongly connected
-	// component, in which case the whole decomposition is skipped: the
-	// single BSCC is the entire state space.
+	// The absorption weights need the full SCC decomposition (transient
+	// components included) — except when two BFS passes prove the chain
+	// is one strongly connected component, in which case the whole
+	// decomposition is skipped: the single BSCC is the entire state
+	// space.
 	var (
 		comps  [][]int32
 		compOf []int32
 		bsccs  [][]int
 	)
-	switch {
-	case opts.legacy():
-		bsccs = c.bsccs()
-	case c.stronglyConnectedAll():
+	if c.stronglyConnectedAll() {
 		all := make([]int, n)
 		for i := range all {
 			all[i] = i
 		}
 		bsccs = [][]int{all}
-	default:
+	} else {
 		mat := c.matrix()
 		comps, compOf = mat.SCCs()
 		bsccs = mat.BottomsOf(comps, compOf)
@@ -170,12 +156,7 @@ func (c *CTMC) SteadyState(opts SolveOptions) ([]float64, error) {
 
 	// Multiple BSCCs: weight each stationary distribution by the
 	// absorption probability from the initial state.
-	var weights []float64
-	if opts.legacy() {
-		weights, err = c.absorptionProbabilities(bsccs, opts)
-	} else {
-		weights, err = c.absorptionBlocks(bsccs, comps, compOf, opts)
-	}
+	weights, err := c.absorptionBlocks(bsccs, comps, compOf, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -201,8 +182,8 @@ func (c *CTMC) SteadyState(opts SolveOptions) ([]float64, error) {
 //
 // renormalizing every sweep. The BSCC's incoming submatrix is compacted
 // once into a local CSR form, then every sweep reads the flat
-// rowOff/col/val arrays (Gauss–Seidel in place by default, parallel
-// Jacobi when opts.Workers > 1). An absorbing singleton gets
+// rowOff/col/val arrays: Gauss–Seidel in place, switching to damped
+// Jacobi if the sweep stagnates. An absorbing singleton gets
 // probability 1.
 func (c *CTMC) stationaryWithin(members []int, opts SolveOptions) ([]float64, error) {
 	m := len(members)
@@ -239,53 +220,20 @@ func (c *CTMC) stationaryWithin(members []int, opts SolveOptions) ([]float64, er
 		}
 	}
 
-	// The Krylov path runs only when forced: on singular stationary
-	// balance systems the Gauss–Seidel sweep typically converges in tens
-	// of sweeps, which no BiCGSTAB iteration count beats (measured ~3x
-	// slower on well-mixed 100k-state chains), so auto keeps the sweeps
-	// and takes its speedup from skipping the decomposition/compaction
-	// setup instead. Breakdown, stall or an unreliable solution falls
-	// through to the damped-Jacobi sweeps below (the advertised
-	// BiCGSTAB → Jacobi fallback).
-	krylovFell := false
-	if opts.Method == MethodBiCGSTAB {
-		var bs blockScratch
-		pi, ok, err := stationaryKrylov(sub, tin, exit, opts, &bs)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return pi, nil
-		}
-		krylovFell = true
-	}
-
 	pi := make([]float64, m)
 	for i := range pi {
 		pi[i] = 1 / float64(m)
 	}
-	// Gauss–Seidel is the sequential default, but its convergence depends
-	// on the sweep order agreeing with the cycle structure: on an
-	// odd-length cycle oriented against the index order the sweep
+	// Gauss–Seidel converges in the fewest sweeps, but its convergence
+	// depends on the sweep order agreeing with the cycle structure: on
+	// an odd-length cycle oriented against the index order the sweep
 	// operator keeps an eigenvalue of modulus one and the residual
 	// stagnates. Detect stagnation (the residual failing to shrink
-	// across a window) and fall back to the damped Jacobi sweep, which is
-	// semiconvergent on every irreducible component regardless of
+	// across a window) and fall back to the damped Jacobi sweep, which
+	// is semiconvergent on every irreducible component regardless of
 	// orientation.
-	useJacobi := opts.parallel() || opts.Method == MethodJacobi || krylovFell
-	startKernel := string(MethodGS)
-	if useJacobi {
-		startKernel = string(MethodJacobi)
-	}
-	swept := false
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
+	useJacobi := false
 	var next []float64
-	if useJacobi {
-		next = make([]float64, m)
-	}
 	const stagnationWindow = 128
 	windowResidual := math.Inf(1)
 	residual := math.Inf(1)
@@ -294,7 +242,7 @@ func (c *CTMC) stationaryWithin(members []int, opts SolveOptions) ([]float64, er
 			return nil, err
 		}
 		if useJacobi {
-			residual = sparse.StationarySweepJacobi(tin, exit, pi, next, workers)
+			residual = sparse.StationarySweepJacobi(tin, exit, pi, next, opts.workers())
 			pi, next = next, pi
 		} else {
 			residual = sparse.StationarySweepGS(tin, exit, pi)
@@ -306,7 +254,6 @@ func (c *CTMC) stationaryWithin(members []int, opts SolveOptions) ([]float64, er
 				// stuck too, so the damped-Jacobi penalty is moot.
 				if residual >= 0.999*windowResidual {
 					useJacobi = true
-					swept = true
 					nFallbackGSJacobi.Add(1)
 					next = make([]float64, m)
 				}
@@ -331,111 +278,11 @@ func (c *CTMC) stationaryWithin(members []int, opts SolveOptions) ([]float64, er
 			return pi, nil
 		}
 	}
-	ce := &ConvergenceError{Iterations: opts.MaxIterations, Residual: residual}
-	if krylovFell {
-		ce.Method = string(MethodBiCGSTAB)
-		ce.Fallback = string(MethodJacobi)
-	} else {
-		ce.Method = startKernel
-		if swept {
-			ce.Fallback = string(MethodJacobi)
-		}
+	ce := &ConvergenceError{Iterations: opts.MaxIterations, Residual: residual, Method: kernelGS}
+	if useJacobi {
+		ce.Fallback = kernelJacobi
 	}
 	return nil, ce
-}
-
-// absorptionProbabilities computes, for each BSCC, the probability that
-// the chain started in the initial state is absorbed into it, by solving
-// the linear system over transient states on the flat CSR arrays. Only
-// k-1 of the k systems are solved: the absorption probabilities sum to
-// one, so the last BSCC gets the complement.
-func (c *CTMC) absorptionProbabilities(bsccs [][]int, opts SolveOptions) ([]float64, error) {
-	n := c.numStates
-	inBSCC := make([]int, n)
-	for i := range inBSCC {
-		inBSCC[i] = -1
-	}
-	for bi, members := range bsccs {
-		for _, s := range members {
-			inBSCC[s] = bi
-		}
-	}
-	weights := make([]float64, len(bsccs))
-	if b := inBSCC[c.initial]; b >= 0 {
-		weights[b] = 1
-		return weights, nil
-	}
-	// h[s] per system bi: absorption probability from transient state s,
-	// with h fixed at 1 inside BSCC bi and 0 inside the others:
-	// h[s] = (sum_d rate(s->d)*h[d]) / exit[s] over transient states.
-	mat := c.matrix()
-	skip := make([]bool, n)
-	for s := 0; s < n; s++ {
-		skip[s] = inBSCC[s] >= 0
-	}
-	b := make([]float64, n) // zero right-hand side
-	h := make([]float64, n)
-	useJ := opts.parallel() || opts.Method == MethodJacobi
-	var next []float64
-	if useJ {
-		next = make([]float64, n)
-	}
-	rest := 1.0
-	for bi := 0; bi < len(bsccs)-1; bi++ {
-		for s := 0; s < n; s++ {
-			if inBSCC[s] == bi {
-				h[s] = 1
-			} else {
-				h[s] = 0
-			}
-		}
-		residual := math.Inf(1)
-		converged := false
-		for iter := 0; iter < opts.MaxIterations; iter++ {
-			if err := opts.canceled("absorb", iter); err != nil {
-				return nil, err
-			}
-			if useJ {
-				residual = sparse.HittingSweepJacobi(mat, skip, b, c.exitRate, h, next, opts.Workers)
-				h, next = next, h
-			} else {
-				residual = sparse.HittingSweepGS(mat, skip, b, c.exitRate, h)
-			}
-			if iter%progressEvery == 0 {
-				opts.Progress.Report(engine.Progress{Stage: "absorb", States: n, Round: iter, Residual: residual})
-			}
-			if residual < opts.Tolerance {
-				converged = true
-				break
-			}
-		}
-		if !converged {
-			method := string(MethodGS)
-			if useJ {
-				method = string(MethodJacobi)
-			}
-			return nil, &ConvergenceError{Iterations: opts.MaxIterations, Residual: residual, Method: method}
-		}
-		weights[bi] = h[c.initial]
-		rest -= weights[bi]
-	}
-	// The last system is determined by the others: probabilities of
-	// absorption sum to one.
-	if rest < 0 {
-		rest = 0
-	}
-	weights[len(bsccs)-1] = rest
-	// Normalize tiny numerical drift.
-	total := 0.0
-	for _, w := range weights {
-		total += w
-	}
-	if total > 0 {
-		for i := range weights {
-			weights[i] /= total
-		}
-	}
-	return weights, nil
 }
 
 // Throughput returns the steady-state occurrence rate of transitions whose
@@ -465,10 +312,7 @@ func ExpectedReward(pi, reward []float64) float64 {
 // returns an error if some state cannot reach a target (infinite
 // expectation) — callers should trim to relevant states first.
 func (c *CTMC) ExpectedTimeToAbsorption(targets []int, opts SolveOptions) ([]float64, error) {
-	opts, err := opts.resolve()
-	if err != nil {
-		return nil, err
-	}
+	opts = opts.withDefaults()
 	n := c.numStates
 	isTarget := make([]bool, n)
 	for _, s := range targets {
@@ -509,46 +353,7 @@ func (c *CTMC) ExpectedTimeToAbsorption(targets []int, opts SolveOptions) ([]flo
 		}
 	}
 
-	// h[s] = (1 + sum_d rate(s->d)*h[d]) / exit[s] on non-targets. The
-	// block path solves it component-by-component in reverse topological
-	// order; the legacy methods sweep the flat CSR arrays globally.
-	if !opts.legacy() {
-		return c.hittingBlocks(isTarget, opts)
-	}
-	mat := c.matrix()
-	b := make([]float64, n)
-	for s := 0; s < n; s++ {
-		if !isTarget[s] {
-			b[s] = 1
-		}
-	}
-	h := make([]float64, n)
-	useJ := opts.parallel() || opts.Method == MethodJacobi
-	var next []float64
-	if useJ {
-		next = make([]float64, n)
-	}
-	residual := math.Inf(1)
-	for iter := 0; iter < opts.MaxIterations; iter++ {
-		if err := opts.canceled("fpt", iter); err != nil {
-			return nil, err
-		}
-		if useJ {
-			residual = sparse.HittingSweepJacobi(mat, isTarget, b, c.exitRate, h, next, opts.Workers)
-			h, next = next, h
-		} else {
-			residual = sparse.HittingSweepGS(mat, isTarget, b, c.exitRate, h)
-		}
-		if iter%progressEvery == 0 {
-			opts.Progress.Report(engine.Progress{Stage: "fpt", States: n, Round: iter, Residual: residual})
-		}
-		if residual < opts.Tolerance {
-			return h, nil
-		}
-	}
-	method := string(MethodGS)
-	if useJ {
-		method = string(MethodJacobi)
-	}
-	return nil, &ConvergenceError{Iterations: opts.MaxIterations, Residual: residual, Method: method}
+	// h[s] = (1 + sum_d rate(s->d)*h[d]) / exit[s] on non-targets,
+	// solved component by component in reverse topological order.
+	return c.hittingBlocks(isTarget, opts)
 }

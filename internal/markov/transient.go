@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"multival/internal/engine"
-	"multival/internal/sparse"
 )
 
 // Transient computes the state distribution at time t, starting from the
@@ -45,16 +44,10 @@ func (c *CTMC) Transient(t float64, opts SolveOptions) ([]float64, error) {
 	cur := pi
 	next := make([]float64, n)
 	maxK := k0 + len(weights) - 1
-	// The vector-matrix product reads the frozen CSR views: the scatter
-	// AddApplyT sequentially, or — when opts.Workers selects parallelism
-	// — the transposed per-row gather AddApply, which shards rows of the
-	// output across workers without write races. The transpose is only
-	// built on the parallel path.
+	// The vector-matrix product is the sequential scatter AddApplyT over
+	// the frozen CSR rate matrix: one pass per step, whose summation
+	// order (and so result) no worker count can change.
 	mat := c.matrix()
-	var tin *sparse.Matrix
-	if opts.parallel() {
-		tin = c.incoming()
-	}
 	for k := 0; k <= maxK; k++ {
 		if k%progressEvery == 0 {
 			if err := opts.canceled("transient", k); err != nil {
@@ -76,11 +69,7 @@ func (c *CTMC) Transient(t float64, opts SolveOptions) ([]float64, error) {
 		for i := range next {
 			next[i] = cur[i] * (1 - c.exitRate[i]/lambda)
 		}
-		if tin != nil {
-			tin.AddApply(cur, next, 1/lambda, opts.Workers)
-		} else {
-			mat.AddApplyT(cur, next, 1/lambda)
-		}
+		mat.AddApplyT(cur, next, 1/lambda)
 		cur, next = next, cur
 	}
 	// Normalize the truncation error.

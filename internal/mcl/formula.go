@@ -81,7 +81,7 @@ func (afTau) String() string              { return "tau" }
 func (a afLiteral) Matches(l string) bool { return l == a.label }
 func (a afLiteral) String() string        { return quoteAction(a.label) }
 func (a afRegex) Matches(l string) bool   { return a.re.MatchString(l) }
-func (a afRegex) String() string          { return "/" + trimAnchor(a.re.String()) + "/" }
+func (a afRegex) String() string          { return regexSource(trimAnchor(a.re.String())) }
 func (a afNot) Matches(l string) bool     { return !a.a.Matches(l) }
 func (a afNot) String() string            { return "~" + a.a.String() }
 func (a afAnd) Matches(l string) bool     { return a.a.Matches(l) && a.b.Matches(l) }
@@ -94,18 +94,44 @@ func trimAnchor(s string) string {
 	return strings.TrimSuffix(s, ")$")
 }
 
+// quoteAction prints a label so the parser reads it back as the same
+// literal: bare when it lexes as an identifier that is not an action
+// keyword, otherwise double-quoted with '"' and '\' backslash-escaped
+// (the lexer's one escape rule; every other byte stands for itself).
 func quoteAction(label string) string {
+	plain := label != "" && isIdentStart(label[0])
+	for i := 1; plain && i < len(label); i++ {
+		plain = isIdentPart(label[i])
+	}
+	switch label {
+	case "true", "any", "tau":
+		plain = false
+	}
+	if plain {
+		return label
+	}
+	var b strings.Builder
+	b.WriteByte('"')
 	for i := 0; i < len(label); i++ {
-		c := label[i]
-		ok := c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '_'
-		if !ok {
-			return fmt.Sprintf("%q", label)
+		if c := label[i]; c == '"' || c == '\\' {
+			b.WriteByte('\\')
 		}
+		b.WriteByte(label[i])
 	}
-	if label == "true" || label == "tau" {
-		return fmt.Sprintf("%q", label)
+	b.WriteByte('"')
+	return b.String()
+}
+
+// regexSource prints a pattern between slashes so the lexer reads it
+// back: every '/' is escaped as "\/", and a pattern ending in a
+// backslash gets a neutral empty group so that backslash cannot escape
+// the closing slash.
+func regexSource(pattern string) string {
+	pattern = strings.ReplaceAll(pattern, "/", `\/`)
+	if strings.HasSuffix(pattern, `\`) {
+		pattern += "(?:)"
 	}
-	return label
+	return "/" + pattern + "/"
 }
 
 // Formula is a state formula of the modal mu-calculus.

@@ -18,12 +18,13 @@
 // Every kernel has a sequential Gauss–Seidel form (in-place, the default:
 // fewer sweeps to converge) and a parallel Jacobi form (cur/next vectors,
 // rows chunk-sharded across workers: each worker owns a contiguous row
-// range of next and only reads cur, so sweeps are race-free). The Jacobi
-// forms are damped with weight 1/2 — the undamped sweep is a power
-// iteration whose operator has unit-modulus eigenvalues on periodic
-// chains (a pure ring BSCC oscillates forever); averaging with the
-// current iterate maps every such eigenvalue except 1 strictly inside
-// the unit disk without moving the fixed point.
+// range of next and only reads cur, so sweeps are race-free; every row is
+// computed the same way whatever the sharding, so the worker count never
+// changes the result). The Jacobi forms are damped with weight 1/2 — the
+// undamped sweep is a power iteration whose operator has unit-modulus
+// eigenvalues on periodic chains (a pure ring BSCC oscillates forever);
+// averaging with the current iterate maps every such eigenvalue except 1
+// strictly inside the unit disk without moving the fixed point.
 package sparse
 
 import (
@@ -234,25 +235,5 @@ func HittingSweepJacobi(m *Matrix, skip []bool, b, diag, cur, next []float64, wo
 			}
 		}
 		return maxDelta
-	})
-}
-
-// AddApply accumulates y += scale * M x (y[i] += scale * sum_j M[i,j] *
-// x[j]) with rows chunk-sharded across workers; each worker owns a
-// contiguous range of y, so the accumulation is race-free. Called on the
-// TRANSPOSE of a rate matrix this parallelizes AddApplyT — the
-// vector-matrix product of uniformization — by turning its scatter into
-// a per-row gather.
-func (m *Matrix) AddApply(x, y []float64, scale float64, workers int) {
-	rowChunks(m.n, workers, func(lo, hi int) float64 {
-		for i := lo; i < hi; i++ {
-			sum := 0.0
-			plo, phi := m.rowOff[i], m.rowOff[i+1]
-			for p := plo; p < phi; p++ {
-				sum += m.val[p] * x[m.col[p]]
-			}
-			y[i] += scale * sum
-		}
-		return 0
 	})
 }

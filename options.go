@@ -33,12 +33,11 @@ type ProgressFunc = engine.ProgressFunc
 // Build one with NewEngine and the With* functional options.
 type Options struct {
 	// Workers is the goroutine count of the parallel engines: the
-	// signature-refinement rounds and the sharded product generation of
-	// compositions (0 = GOMAXPROCS; sharding never changes the product —
-	// it is state-for-state identical to the sequential one) and, when
-	// above 1, the numerical solvers' parallel Jacobi sweeps and
-	// uniformization products (0 or 1 keeps the sequential Gauss–Seidel
-	// kernels, which need fewer sweeps on one core).
+	// signature-refinement rounds, the sharded product generation of
+	// compositions (0 = GOMAXPROCS for both) and the row-sharded solver
+	// kernels (0 or 1 = sequential). It shards work and never changes a
+	// result: products, partitions and measures are identical at every
+	// worker count.
 	Workers int
 	// MaxStates bounds every state-space generation (DSL exploration,
 	// synchronized products, delay decoration). 0 selects the package
@@ -55,21 +54,14 @@ type Options struct {
 	MaxIterations int
 	// Progress, when non-nil, observes every long-running operation.
 	Progress ProgressFunc
-	// Method selects the linear-solver kernel family of the numerical
-	// analyses: "auto" (or empty) picks BiCGSTAB for large systems and
-	// Gauss–Seidel for small ones over SCC-topological block solves;
-	// "gs" and "jacobi" force the legacy global sweep paths; "bicgstab"
-	// forces the Krylov kernel everywhere. Validate with ParseMethod.
-	Method string
 }
 
 // Option mutates Options; pass them to NewEngine.
 type Option func(*Options)
 
-// WithWorkers sets the worker count of the refinement engine and of
-// sharded product generation (0 = GOMAXPROCS) and, when n > 1, switches
-// the numerical solvers to their parallel Jacobi kernels with n
-// goroutines.
+// WithWorkers sets the worker count of the refinement engine, of sharded
+// product generation (0 = GOMAXPROCS) and of the row-sharded solver
+// kernels. It shards work and never changes a result.
 func WithWorkers(n int) Option { return func(o *Options) { o.Workers = n } }
 
 // WithMaxStates bounds state-space generation; exceeding it yields an
@@ -89,10 +81,6 @@ func WithMaxIterations(n int) Option { return func(o *Options) { o.MaxIterations
 // for concurrent use: pipeline stages may report from several goroutines.
 func WithProgress(f ProgressFunc) Option { return func(o *Options) { o.Progress = f } }
 
-// WithMethod selects the linear-solver kernel family ("auto", "gs",
-// "jacobi", "bicgstab"); see Options.Method and ParseMethod.
-func WithMethod(m string) Option { return func(o *Options) { o.Method = m } }
-
 // bisim converts the facade options into refinement-engine options.
 func (o Options) bisim() bisim.Options {
 	return bisim.Options{Workers: o.Workers, Progress: o.Progress}
@@ -111,6 +99,5 @@ func (o Options) solve() markov.SolveOptions {
 		MaxIterations: o.MaxIterations,
 		Workers:       o.Workers,
 		Progress:      o.Progress,
-		Method:        markov.Method(o.Method),
 	}
 }

@@ -1,15 +1,15 @@
 #!/bin/sh
-# Benchmark trajectory: run the solver benchmarks (CSR sweep kernels,
-# Krylov vs sweep method forcing, SCC-block absorption, policy-iteration
-# bounds), the serving benchmarks (cold solve vs content-addressed cache
-# hit over HTTP), and the composition benchmarks (sequential vs
-# hash-sharded generation of the ~100k-state product), and the sweep
-# benchmarks (3x3 fame grid cold vs warm vs naive per-point re-solve,
-# measuring the artifact sharing across grid points), and process-calculus
-# state-space generation (the 65,329-state handshake router) with a
-# benchstat-friendly repeat count, keep the raw `go test` output for
-# `benchstat old.txt new.txt` comparisons, and write a compact
-# BENCH_PR7.json summary so future PRs have a perf trajectory to diff
+# Benchmark trajectory: run the solver benchmarks (the CSR stationary
+# sweep against its closure-dispatch reference, SCC-block absorption,
+# uniformization, policy-iteration bounds), the serving benchmarks (cold
+# solve vs content-addressed cache hit over HTTP), the composition
+# benchmarks (sequential vs hash-sharded generation of the ~100k-state
+# product), the sweep benchmarks (3x3 fame grid cold vs warm vs naive
+# per-point re-solve, measuring the artifact sharing across grid points)
+# and process-calculus state-space generation (the 65,329-state
+# handshake router) with a benchstat-friendly repeat count, keep the raw
+# `go test` output for `benchstat old.txt new.txt` comparisons, and write
+# a compact BENCH_PR7.json summary so future PRs have a perf trajectory to diff
 # against. Run via `make bench-solver`; tune with COUNT/BENCH/OUT_*.
 #
 #   scripts/bench.sh --compare BENCH_PR6.json
@@ -25,7 +25,7 @@ if [ "${1:-}" = "--compare" ]; then
 fi
 
 COUNT="${COUNT:-6}"
-BENCH="${BENCH:-SteadyStateLargeChain|SteadyStateLargeChainGS|SteadyStateLargeChainBiCGSTAB|AbsorptionMultiBSCC|TransientLargeChain|ThroughputBoundsPolicy|ServeSolve|ComposeSeq100k|ComposeParallel100k|SweepFameCold|SweepFameWarm|SweepFameNaive|StateSpaceGeneration}"
+BENCH="${BENCH:-SteadyStateLargeChain$|SteadyStateLargeChainClosures|AbsorptionMultiBSCC|TransientLargeChain|ThroughputBoundsPolicy|ServeSolve|ComposeSeq100k|ComposeParallel100k|SweepFameCold|SweepFameWarm|SweepFameNaive|StateSpaceGeneration}"
 OUT_TXT="${OUT_TXT:-BENCH_PR7.txt}"
 OUT_JSON="${OUT_JSON:-BENCH_PR7.json}"
 

@@ -2,17 +2,7 @@ package multival
 
 import "multival/internal/markov"
 
-// ParseMethod validates and normalizes a solver-method name for
-// Options.Method / WithMethod: "auto" (or ""), "gs", "jacobi",
-// "bicgstab". It returns the canonical spelling or an error naming the
-// accepted values — CLI flag parsing and the serve layer reject bad
-// method strings up front instead of failing inside a solve.
-func ParseMethod(s string) (string, error) {
-	m, err := markov.ParseMethod(s)
-	return string(m), err
-}
-
-// SolverFallbacks counts solver-method downgrades since process start:
+// SolverFallbacks counts solver-kernel downgrades since process start:
 // every stationary Gauss–Seidel solve that stagnated into the damped
 // Jacobi kernel, and every BiCGSTAB solve that broke down or stalled and
 // fell back to sweeps. A chain family that suddenly starts breaking the
