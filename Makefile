@@ -11,13 +11,16 @@ test:
 vet:
 	$(GO) vet ./...
 
-# Project-specific static analysis: builds the multivet vettool (cached
-# in bin/) and runs its five analyzers — maporder, ctxloop, frozenmut,
-# sentinelwrap, faultpoint — as `go vet -vettool`, plus the stock vet
-# passes and the analyzer suite's own golden tests. See README "Static
-# analysis" for the contract catalog and the lint:ignore grammar.
+# Static analysis: the stock vet passes, then the repository contracts —
+# the five analyzers maporder, ctxloop, frozenmut, sentinelwrap and
+# faultpoint (checked against their golden fixtures, then run over every
+# package with its tests), the context and the dead-export rules — which
+# are plain tests in internal/contracts and so also run under `make test`.
+# See README "Static analysis" for the contract catalog and the
+# lint:ignore grammar.
 lint:
-	./scripts/lint.sh
+	$(GO) vet ./...
+	$(GO) test ./internal/contracts
 
 # Race-enabled tests of the concurrent layers: the parallel refinement
 # engine, sharded product generation (the compose differential tests

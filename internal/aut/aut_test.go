@@ -2,6 +2,7 @@ package aut
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -136,5 +137,25 @@ func TestHeaderFormat(t *testing.T) {
 	text := WriteString(l)
 	if !strings.HasPrefix(text, "des (0, 1, 2)\n") {
 		t.Fatalf("header = %q", strings.SplitN(text, "\n", 2)[0])
+	}
+}
+
+// TestReadHeaderAllocation bounds what a bare header costs: the largest
+// declared state count allocates at most 64 bytes per state before any
+// transition is read (it was about 279, regrowing the per-state tables
+// once per state).
+func TestReadHeaderAllocation(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	l, err := ReadString("des (0, 0, 4194304)")
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.NumStates() != maxStates {
+		t.Fatalf("NumStates = %d, want %d", l.NumStates(), maxStates)
+	}
+	if perState := float64(after.TotalAlloc-before.TotalAlloc) / maxStates; perState > 64 {
+		t.Fatalf("header allocated %.1f B per declared state, want at most 64", perState)
 	}
 }

@@ -1,13 +1,10 @@
-package multival
+package contracts
 
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"io/fs"
-	"path/filepath"
-	"strconv"
+	"go/types"
 	"strings"
 	"testing"
 )
@@ -28,40 +25,32 @@ var backgroundAllowed = map[string]string{
 
 // TestNoBackgroundContextInLibraries scans the library sources (the root
 // package and internal/, without tests) for context.Background() and
-// context.TODO() calls outside backgroundAllowed. Commands, examples and
-// tools own their contexts and are not scanned.
+// context.TODO() calls outside backgroundAllowed. Commands and examples
+// own their contexts and are not scanned.
 func TestNoBackgroundContextInLibraries(t *testing.T) {
-	fset := token.NewFileSet()
-	seen := map[string]bool{}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			top := strings.Split(path, string(filepath.Separator))[0]
-			if path != "." && (top != "internal" || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
-		for _, site := range backgroundSites(f) {
-			seen[site.fn] = true
-			if _, ok := backgroundAllowed[site.fn]; !ok {
-				t.Errorf("%s: %s calls context.%s(); take a ctx from the caller instead",
-					fset.Position(site.pos), site.fn, site.call)
-			}
-		}
-		return nil
-	})
+	l := module(t)
+	paths, err := l.packages()
 	if err != nil {
 		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, path := range paths {
+		if path != "multival" && !strings.HasPrefix(path, "multival/internal/") {
+			continue
+		}
+		u, err := l.main.unit(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range u.files {
+			for _, site := range backgroundSites(f, u.info) {
+				seen[site.fn] = true
+				if _, ok := backgroundAllowed[site.fn]; !ok {
+					t.Errorf("%s: %s calls context.%s(); take a ctx from the caller instead",
+						l.position(site.pos), site.fn, site.call)
+				}
+			}
+		}
 	}
 	for fn := range backgroundAllowed {
 		if !seen[fn] {
@@ -77,33 +66,16 @@ type backgroundSite struct {
 
 // backgroundSites returns the context.Background/TODO calls of f, each
 // with its enclosing top-level function ("" at package level).
-func backgroundSites(f *ast.File) []backgroundSite {
-	name := ""
-	for _, imp := range f.Imports {
-		if p, _ := strconv.Unquote(imp.Path.Value); p == "context" {
-			name = "context"
-			if imp.Name != nil {
-				name = imp.Name.Name
-			}
-		}
-	}
-	if name == "" {
-		return nil
-	}
+func backgroundSites(f *ast.File, info *types.Info) []backgroundSite {
 	var sites []backgroundSite
 	scan := func(fn string, n ast.Node) {
 		ast.Inspect(n, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			if x, ok := sel.X.(*ast.Ident); ok && x.Name == name &&
-				(sel.Sel.Name == "Background" || sel.Sel.Name == "TODO") {
-				sites = append(sites, backgroundSite{fn: fn, call: sel.Sel.Name, pos: call.Pos()})
+			if call, ok := n.(*ast.CallExpr); ok {
+				for _, name := range []string{"Background", "TODO"} {
+					if isPkgFunc(info, call, "context", name) {
+						sites = append(sites, backgroundSite{fn: fn, call: name, pos: call.Pos()})
+					}
+				}
 			}
 			return true
 		})

@@ -1,36 +1,26 @@
-// Package maporder enforces the engine's byte-determinism contract at
-// map-iteration sites: artifact keys (lts.Frozen.Hash), sweep journals,
-// the Prometheus exposition and every serialized wire format must be
-// byte-identical across runs and worker counts, so no map iteration may
-// feed an order-sensitive sink — a hasher, writer or encoder, a Progress
-// emission, or a slice that is never sorted afterwards.
-package maporder
+package contracts
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
 	"strings"
-
-	"multivet/internal/analysis"
 )
 
-var Analyzer = &analysis.Analyzer{
-	Name: "maporder",
-	Doc: `flag map iterations that feed order-sensitive sinks
-
-Go map iteration order is deliberately randomized, so a range over a map
-whose body writes to a hasher/writer/encoder, emits engine.Progress, or
-appends to a slice that is not sorted in the statements following the
-loop produces output that varies run to run — breaking content-addressed
-artifact keys, golden outputs and the metrics exposition. Collect keys,
-sort them, and iterate the sorted slice instead. Test files are exempt.`,
-	Run: run,
-}
-
-func run(pass *analysis.Pass) error {
-	for _, file := range pass.Files {
-		if pass.InTestFile(file.Pos()) {
+// maporder enforces the engine's byte-determinism contract at
+// map-iteration sites: artifact keys (lts.Frozen.Hash), sweep journals,
+// the Prometheus exposition and every serialized wire format must be
+// byte-identical across runs and worker counts.
+//
+// Go map iteration order is deliberately randomized, so a range over a
+// map whose body writes to a hasher/writer/encoder, emits
+// engine.Progress, or appends to a slice that is not sorted in the
+// statements following the loop produces output that varies run to run.
+// Collect keys, sort them, and iterate the sorted slice instead. Test
+// files are exempt.
+func maporder(fset *token.FileSet, files []*ast.File, _ *types.Package, info *types.Info, report reportFunc) {
+	for _, file := range files {
+		if inTestFile(fset, file.Pos()) {
 			continue
 		}
 		// Walk with enough context to find the block containing each
@@ -53,19 +43,18 @@ func run(pass *analysis.Pass) error {
 		}
 		walkBlock = func(list []ast.Stmt) {
 			for i, stmt := range list {
-				if rs, ok := stmt.(*ast.RangeStmt); ok && isMapRange(pass, rs) {
-					checkMapRange(pass, rs, list[i+1:])
+				if rs, ok := stmt.(*ast.RangeStmt); ok && isMapRange(info, rs) {
+					checkMapRange(info, report, rs, list[i+1:])
 				}
 				ast.Inspect(stmt, inspect)
 			}
 		}
 		ast.Inspect(file, inspect)
 	}
-	return nil
 }
 
-func isMapRange(pass *analysis.Pass, rs *ast.RangeStmt) bool {
-	t := pass.TypeOf(rs.X)
+func isMapRange(info *types.Info, rs *ast.RangeStmt) bool {
+	t := info.TypeOf(rs.X)
 	if t == nil {
 		return false
 	}
@@ -76,19 +65,19 @@ func isMapRange(pass *analysis.Pass, rs *ast.RangeStmt) bool {
 // checkMapRange inspects one map-range body for order-sensitive sinks.
 // rest holds the statements following the loop in its enclosing block,
 // consulted to bless the collect-then-sort idiom.
-func checkMapRange(pass *analysis.Pass, rs *ast.RangeStmt, rest []ast.Stmt) {
+func checkMapRange(info *types.Info, report reportFunc, rs *ast.RangeStmt, rest []ast.Stmt) {
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.RangeStmt:
 			// A nested map range is reported on its own; its body's
 			// sinks belong to it, not to the outer loop.
-			if n != rs && isMapRange(pass, n) {
+			if n != rs && isMapRange(info, n) {
 				return false
 			}
 		case *ast.AssignStmt:
-			checkAppend(pass, rs, n, rest)
+			checkAppend(info, report, rs, n, rest)
 		case *ast.CallExpr:
-			checkCallSink(pass, rs, n)
+			checkCallSink(info, report, rs, n)
 		}
 		return true
 	})
@@ -96,27 +85,24 @@ func checkMapRange(pass *analysis.Pass, rs *ast.RangeStmt, rest []ast.Stmt) {
 
 // checkAppend flags `outer = append(outer, ...)` bodies whose target is
 // declared outside the loop and is not sorted by any statement after it.
-func checkAppend(pass *analysis.Pass, rs *ast.RangeStmt, as *ast.AssignStmt, rest []ast.Stmt) {
+func checkAppend(info *types.Info, report reportFunc, rs *ast.RangeStmt, as *ast.AssignStmt, rest []ast.Stmt) {
 	for _, rhs := range as.Rhs {
 		call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-		if !ok || len(call.Args) == 0 {
-			continue
-		}
-		if !analysis.IsBuiltinCall(pass.TypesInfo, call, "append") {
+		if !ok || len(call.Args) == 0 || !isBuiltinCall(info, call, "append") {
 			continue
 		}
 		base := baseIdent(call.Args[0])
 		if base == nil {
 			continue
 		}
-		obj := pass.ObjectOf(base)
+		obj := info.ObjectOf(base)
 		if obj == nil || declaredWithin(obj, rs) {
 			continue // loop-local accumulation is per-iteration state
 		}
-		if sortedAfter(pass, obj, rest) {
+		if sortedAfter(info, obj, rest) {
 			continue
 		}
-		pass.Reportf(rs.Pos(),
+		report(rs.Pos(),
 			"map iteration appends to %q without sorting it afterwards; order is randomized — sort %s after the loop or iterate sorted keys",
 			base.Name, base.Name)
 		return // one report per loop for this sink class
@@ -129,15 +115,15 @@ var writeMethods = map[string]bool{
 	"Encode": true, "EncodeElement": true,
 }
 
-func checkCallSink(pass *analysis.Pass, rs *ast.RangeStmt, call *ast.CallExpr) {
+func checkCallSink(info *types.Info, report reportFunc, rs *ast.RangeStmt, call *ast.CallExpr) {
 	// fmt.Fprint*/binary.Write style: package-level serializers whose
 	// first argument is the destination stream.
-	if fn := analysis.CalleeFunc(pass.TypesInfo, call); fn != nil && fn.Pkg() != nil {
+	if fn := calleeFunc(info, call); fn != nil && fn.Pkg() != nil {
 		pkg, name := fn.Pkg().Path(), fn.Name()
 		if (pkg == "fmt" && strings.HasPrefix(name, "Fprint")) ||
 			(pkg == "encoding/binary" && name == "Write") {
-			if len(call.Args) > 0 && outerReceiver(pass, rs, call.Args[0]) {
-				pass.Reportf(rs.Pos(),
+			if len(call.Args) > 0 && outerReceiver(info, rs, call.Args[0]) {
+				report(rs.Pos(),
 					"map iteration writes to %s via %s.%s; order is randomized — iterate sorted keys",
 					exprString(call.Args[0]), pkg, name)
 			}
@@ -146,8 +132,8 @@ func checkCallSink(pass *analysis.Pass, rs *ast.RangeStmt, call *ast.CallExpr) {
 	}
 
 	// Direct call of an engine.ProgressFunc value: `progress(p)`.
-	if isProgressFunc(pass.TypeOf(call.Fun)) {
-		pass.Reportf(rs.Pos(), "map iteration emits Progress; report once per round, not per map entry")
+	if isProgressFunc(info.TypeOf(call.Fun)) {
+		report(rs.Pos(), "map iteration emits Progress; report once per round, not per map entry")
 		return
 	}
 
@@ -159,48 +145,47 @@ func checkCallSink(pass *analysis.Pass, rs *ast.RangeStmt, call *ast.CallExpr) {
 	// Progress emission: calling an engine.ProgressFunc value or its
 	// Report method inside a map range makes observer streams
 	// (SSE relays, CLI printers) nondeterministic.
-	if sel.Sel.Name == "Report" && isProgressFunc(pass.TypeOf(sel.X)) {
-		pass.Reportf(rs.Pos(), "map iteration emits Progress; report once per round, not per map entry")
+	if sel.Sel.Name == "Report" && isProgressFunc(info.TypeOf(sel.X)) {
+		report(rs.Pos(), "map iteration emits Progress; report once per round, not per map entry")
 		return
 	}
 
 	// Writer/hasher/encoder method on a receiver living outside the
 	// loop: bytes.Buffer, strings.Builder, hash.Hash, json.Encoder, …
-	if writeMethods[sel.Sel.Name] && methodSinks(pass, sel) && outerReceiver(pass, rs, sel.X) {
-		pass.Reportf(rs.Pos(),
+	if writeMethods[sel.Sel.Name] && methodSinks(info, sel) && outerReceiver(info, rs, sel.X) {
+		report(rs.Pos(),
 			"map iteration calls %s.%s on a hasher/writer declared outside the loop; order is randomized — iterate sorted keys",
 			exprString(sel.X), sel.Sel.Name)
 	}
 }
 
-// Direct calls of a ProgressFunc-typed value: `progress(p)`.
 func isProgressFunc(t types.Type) bool {
-	return t != nil && analysis.IsNamedType(t, "multival/internal/engine", "ProgressFunc")
+	return t != nil && isNamedType(t, "multival/internal/engine", "ProgressFunc")
 }
 
 // methodSinks reports whether the selector's receiver type is an
 // order-sensitive byte sink: structurally an io.Writer, or an encoder
 // (method named Encode*).
-func methodSinks(pass *analysis.Pass, sel *ast.SelectorExpr) bool {
-	t := pass.TypeOf(sel.X)
+func methodSinks(info *types.Info, sel *ast.SelectorExpr) bool {
+	t := info.TypeOf(sel.X)
 	if t == nil {
 		return false
 	}
 	if strings.HasPrefix(sel.Sel.Name, "Encode") {
 		return true
 	}
-	return analysis.ImplementsWriter(t)
+	return implementsWriter(t)
 }
 
 // outerReceiver reports whether the base identifier of e resolves to an
 // object declared outside the range statement (per-iteration buffers are
 // deterministic for their own entry).
-func outerReceiver(pass *analysis.Pass, rs *ast.RangeStmt, e ast.Expr) bool {
+func outerReceiver(info *types.Info, rs *ast.RangeStmt, e ast.Expr) bool {
 	base := baseIdent(e)
 	if base == nil {
 		return true // conservative: unknown receivers count as outer
 	}
-	obj := pass.ObjectOf(base)
+	obj := info.ObjectOf(base)
 	if obj == nil {
 		return false
 	}
@@ -224,24 +209,24 @@ func baseIdent(e ast.Expr) *ast.Ident {
 	}
 }
 
-func declaredWithin(obj interface{ Pos() token.Pos }, rs *ast.RangeStmt) bool {
+func declaredWithin(obj types.Object, rs *ast.RangeStmt) bool {
 	return obj.Pos() >= rs.Pos() && obj.Pos() <= rs.End()
 }
 
 // sortedAfter reports whether any statement after the loop calls a sort
 // over obj: a sort/slices package function, or any function whose name
 // mentions "sort", receiving the slice (possibly wrapped: sort.Sort(byX(v))).
-func sortedAfter(pass *analysis.Pass, obj types.Object, rest []ast.Stmt) bool {
+func sortedAfter(info *types.Info, obj types.Object, rest []ast.Stmt) bool {
 	for _, stmt := range rest {
 		found := false
 		ast.Inspect(stmt, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok || !isSortCall(pass, call) {
+			if !ok || !isSortCall(info, call) {
 				return true
 			}
 			for _, arg := range call.Args {
 				ast.Inspect(arg, func(m ast.Node) bool {
-					if id, ok := m.(*ast.Ident); ok && pass.ObjectOf(id) == obj {
+					if id, ok := m.(*ast.Ident); ok && info.ObjectOf(id) == obj {
 						found = true
 					}
 					return !found
@@ -256,8 +241,8 @@ func sortedAfter(pass *analysis.Pass, obj types.Object, rest []ast.Stmt) bool {
 	return false
 }
 
-func isSortCall(pass *analysis.Pass, call *ast.CallExpr) bool {
-	fn := analysis.CalleeFunc(pass.TypesInfo, call)
+func isSortCall(info *types.Info, call *ast.CallExpr) bool {
+	fn := calleeFunc(info, call)
 	if fn == nil {
 		return false
 	}

@@ -16,6 +16,10 @@ import (
 //	unary   ::= "-" unary | primary
 //	primary ::= INT | "true" | "false" | IDENT | "(" expr ")"
 func (p *parser) parseExpr() (process.Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer func() { p.depth-- }()
 	if p.isKw("if") {
 		if err := p.advance(); err != nil {
 			return nil, err
@@ -88,10 +92,14 @@ func (p *parser) parseNot() (process.Expr, error) {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
 		x, err := p.parseNot()
 		if err != nil {
 			return nil, err
 		}
+		p.depth--
 		return process.NotExpr(x), nil
 	}
 	return p.parseCmp()
@@ -185,10 +193,14 @@ func (p *parser) parseUnary() (process.Expr, error) {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
+		p.depth--
 		return process.Neg{X: x}, nil
 	}
 	return p.parsePrimary()

@@ -2,6 +2,7 @@ package lotos
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -293,4 +294,30 @@ func minimize(l *lts.LTS, rel bisim.Relation) (*lts.LTS, []int) {
 		panic(err)
 	}
 	return q, block
+}
+
+// TestParseNestingBound pins maxNesting for behaviours and expressions:
+// a specification nested exactly that deep parses, one level more is a
+// parse error.
+func TestParseNestingBound(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		src  func(n int) string // a specification nested n levels deep
+	}{
+		{"prefix", func(n int) string { return strings.Repeat("a; ", n-1) + "stop" }},
+		{"paren", func(n int) string { return strings.Repeat("(", n-1) + "stop" + strings.Repeat(")", n-1) }},
+		{"expression", func(n int) string {
+			return "g !" + strings.Repeat("(", n-1) + "1" + strings.Repeat(")", n-1) + "; stop"
+		}},
+		{"not", func(n int) string { return "[" + strings.Repeat("not ", n-2) + "true] -> stop" }},
+	} {
+		if _, err := Parse(tc.src(maxNesting)); err != nil {
+			t.Errorf("%s: %d levels rejected: %v", tc.name, maxNesting, err)
+		}
+		_, err := Parse(tc.src(maxNesting + 1))
+		var perr *Error
+		if !errors.As(err, &perr) || !strings.Contains(err.Error(), "nested deeper") {
+			t.Errorf("%s: %d levels: err = %v, want a nesting *Error", tc.name, maxNesting+1, err)
+		}
+	}
 }

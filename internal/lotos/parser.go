@@ -47,9 +47,28 @@ func MustParse(src string) *process.System {
 	return s
 }
 
+// maxNesting bounds how deeply a specification may nest: every
+// behaviour level (an action prefix, guard, hide, rename, let or
+// parenthesized behaviour wraps the behaviour inside it) and every
+// expression level (a parenthesized or conditional expression, "not",
+// unary minus) counts one. "stop" alone is one level, "a; stop" two.
+// Deeper input is a parse error, not a stack overflow in this
+// recursive-descent parser.
+const maxNesting = 1000
+
 type parser struct {
-	lx  *lexer
-	tok token
+	lx    *lexer
+	tok   token
+	depth int // behaviour and expression levels enclosing the current token
+}
+
+// enter opens one more nesting level; the caller leaves it with
+// p.depth-- once the nested construct is parsed.
+func (p *parser) enter() error {
+	if p.depth++; p.depth > maxNesting {
+		return p.errorf("nested deeper than %d levels", maxNesting)
+	}
+	return nil
 }
 
 func (p *parser) advance() error {
@@ -308,6 +327,10 @@ func (p *parser) parseChoice() (process.Behavior, error) {
 }
 
 func (p *parser) parsePrefix() (process.Behavior, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer func() { p.depth-- }()
 	switch {
 	case p.tok.kind == tLBrack:
 		// Guard: [expr] -> prefix

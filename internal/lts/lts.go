@@ -79,10 +79,13 @@ func (l *LTS) AddState() State {
 }
 
 // AddStates appends n fresh states and returns the index of the first one.
+// The per-state tables grow once, not once per state.
 func (l *LTS) AddStates(n int) State {
 	first := State(l.numStates)
-	for i := 0; i < n; i++ {
-		l.AddState()
+	if n > 0 {
+		l.numStates += n
+		l.out = append(l.out, make([][]int32, n)...)
+		l.in = append(l.in, make([][]int32, n)...)
 	}
 	return first
 }

@@ -1,6 +1,7 @@
 package mcl
 
 import (
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -353,5 +354,43 @@ func TestNegatedClosedFixpoint(t *testing.T) {
 	g := And(Not(DeadlockFree()), Reachable(Dia(Action("a"), True())))
 	if _, err := Sat(diamondLTS(), g); err != nil {
 		t.Fatalf("conjunction with negated fixpoint rejected: %v", err)
+	}
+}
+
+// TestParseNestingBound pins MaxNesting: a formula of exactly that
+// height parses and its printed form parses back, one level more is a
+// parse error, and so is hostile nesting far past the bound, which used
+// to overflow a 64 MB goroutine stack.
+func TestParseNestingBound(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		src  func(n int) string // a formula of height n
+	}{
+		{"not", func(n int) string { return strings.Repeat("not ", n-1) + "true" }},
+		{"diamond", func(n int) string { return strings.Repeat("<a> ", n-1) + "true" }},
+		{"and", func(n int) string { return strings.Repeat("true and ", n-1) + "true" }},
+		{"implies", func(n int) string { return strings.Repeat("a -> ", n-2) + "true" }},
+		{"action", func(n int) string { return "<" + strings.Repeat("~", n-2) + "a> true" }},
+	} {
+		f, err := Parse(tc.src(MaxNesting))
+		if err != nil {
+			t.Errorf("%s: height %d rejected: %v", tc.name, MaxNesting, err)
+		} else if _, err := Parse(f.String()); err != nil {
+			t.Errorf("%s: printed form of height %d rejected: %v", tc.name, MaxNesting, err)
+		}
+		if _, err := Parse(tc.src(MaxNesting + 2)); err == nil || !strings.Contains(err.Error(), "nested deeper") {
+			t.Errorf("%s: height %d: err = %v, want a nesting error", tc.name, MaxNesting+2, err)
+		}
+	}
+	if _, err := Parse(strings.Repeat("not ", MaxNesting) + "true"); err == nil {
+		t.Error("one level over the bound parsed")
+	}
+	if _, err := Parse(strings.Repeat("(", 2*MaxNesting+1) + "true" + strings.Repeat(")", 2*MaxNesting+1)); err == nil {
+		t.Error("redundant parentheses past the parser's limit parsed")
+	}
+
+	defer debug.SetMaxStack(debug.SetMaxStack(64 << 20))
+	if _, err := ParseQuery(strings.Repeat("not ", 400_000) + "true"); err == nil {
+		t.Error("400,000 nested negations parsed")
 	}
 }

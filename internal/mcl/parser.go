@@ -76,10 +76,38 @@ type token struct {
 	pos  int
 }
 
+// MaxNesting bounds how deeply a formula may nest: the height of its
+// syntax tree, counting state and action operators alike (a lone "true"
+// has height 1, "not true" height 2). Deeper input is a parse error, not
+// a stack overflow in this recursive-descent parser or in the recursive
+// printer and checker behind it. Parentheses add no height, so the
+// printed form of an accepted formula, which parenthesizes an operand at
+// most once, parses back; the parser gives up at once after 2*MaxNesting
+// nested operators and parentheses.
+const MaxNesting = 1000
+
 type parser struct {
-	src string
-	pos int
-	tok token
+	src    string
+	pos    int
+	tok    token
+	open   int // operators and parentheses enclosing the current token
+	height int // height of the (action) formula parsed last
+}
+
+// enter opens one more nested operator or parenthesis.
+func (p *parser) enter() error {
+	if p.open++; p.open > 2*MaxNesting {
+		return p.errorf("formula nested deeper than %d levels", MaxNesting)
+	}
+	return nil
+}
+
+// setHeight records the height of the formula just built.
+func (p *parser) setHeight(h int) error {
+	if p.height = h; h > MaxNesting {
+		return p.errorf("formula nested deeper than %d levels", MaxNesting)
+	}
+	return nil
 }
 
 func (p *parser) errorf(format string, args ...interface{}) error {
@@ -198,12 +226,18 @@ func (p *parser) parseImpl() (Formula, error) {
 		return nil, err
 	}
 	if p.tok.kind == tokArrow {
+		hl := p.height
 		p.next()
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
 		right, err := p.parseImpl()
 		if err != nil {
 			return nil, err
 		}
-		return Implies(left, right), nil
+		p.open--
+		// a -> b is (not a) or b.
+		return Implies(left, right), p.setHeight(1 + max(hl+1, p.height))
 	}
 	return left, nil
 }
@@ -214,12 +248,16 @@ func (p *parser) parseDisj() (Formula, error) {
 		return nil, err
 	}
 	for p.tok.kind == tokIdent && p.tok.text == "or" {
+		hl := p.height
 		p.next()
 		right, err := p.parseConj()
 		if err != nil {
 			return nil, err
 		}
 		left = Or(left, right)
+		if err := p.setHeight(1 + max(hl, p.height)); err != nil {
+			return nil, err
+		}
 	}
 	return left, nil
 }
@@ -230,17 +268,25 @@ func (p *parser) parseConj() (Formula, error) {
 		return nil, err
 	}
 	for p.tok.kind == tokIdent && p.tok.text == "and" {
+		hl := p.height
 		p.next()
 		right, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
 		left = And(left, right)
+		if err := p.setHeight(1 + max(hl, p.height)); err != nil {
+			return nil, err
+		}
 	}
 	return left, nil
 }
 
 func (p *parser) parseUnary() (Formula, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer func() { p.open-- }()
 	switch {
 	case p.tok.kind == tokIdent && p.tok.text == "not":
 		p.next()
@@ -248,7 +294,7 @@ func (p *parser) parseUnary() (Formula, error) {
 		if err != nil {
 			return nil, err
 		}
-		return Not(f), nil
+		return Not(f), p.setHeight(p.height + 1)
 
 	case p.tok.kind == tokLAngle:
 		p.next()
@@ -259,11 +305,12 @@ func (p *parser) parseUnary() (Formula, error) {
 		if err := p.expect(tokRAngle, "'>'"); err != nil {
 			return nil, err
 		}
+		ha := p.height
 		f, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
-		return Dia(act, f), nil
+		return Dia(act, f), p.setHeight(1 + max(ha, p.height))
 
 	case p.tok.kind == tokLBrack:
 		p.next()
@@ -274,11 +321,12 @@ func (p *parser) parseUnary() (Formula, error) {
 		if err := p.expect(tokRBrack, "']'"); err != nil {
 			return nil, err
 		}
+		ha := p.height
 		f, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
-		return Box(act, f), nil
+		return Box(act, f), p.setHeight(1 + max(ha, p.height))
 
 	case p.tok.kind == tokIdent && (p.tok.text == "mu" || p.tok.text == "nu"):
 		kw := p.tok.text
@@ -296,22 +344,22 @@ func (p *parser) parseUnary() (Formula, error) {
 			return nil, err
 		}
 		if kw == "mu" {
-			return Mu(name, body), nil
+			return Mu(name, body), p.setHeight(p.height + 1)
 		}
-		return Nu(name, body), nil
+		return Nu(name, body), p.setHeight(p.height + 1)
 
 	case p.tok.kind == tokIdent && p.tok.text == "true":
 		p.next()
-		return True(), nil
+		return True(), p.setHeight(1)
 
 	case p.tok.kind == tokIdent && p.tok.text == "false":
 		p.next()
-		return False(), nil
+		return False(), p.setHeight(1)
 
 	case p.tok.kind == tokIdent:
 		name := p.tok.text
 		p.next()
-		return Var(name), nil
+		return Var(name), p.setHeight(1)
 
 	case p.tok.kind == tokLParen:
 		p.next()
@@ -335,12 +383,16 @@ func (p *parser) parseActDisj() (ActionFormula, error) {
 		return nil, err
 	}
 	for p.tok.kind == tokPipe {
+		hl := p.height
 		p.next()
 		right, err := p.parseActConj()
 		if err != nil {
 			return nil, err
 		}
 		left = OrAction(left, right)
+		if err := p.setHeight(1 + max(hl, p.height)); err != nil {
+			return nil, err
+		}
 	}
 	return left, nil
 }
@@ -351,17 +403,25 @@ func (p *parser) parseActConj() (ActionFormula, error) {
 		return nil, err
 	}
 	for p.tok.kind == tokAmp {
+		hl := p.height
 		p.next()
 		right, err := p.parseActUnary()
 		if err != nil {
 			return nil, err
 		}
 		left = AndAction(left, right)
+		if err := p.setHeight(1 + max(hl, p.height)); err != nil {
+			return nil, err
+		}
 	}
 	return left, nil
 }
 
 func (p *parser) parseActUnary() (ActionFormula, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer func() { p.open-- }()
 	switch p.tok.kind {
 	case tokTilde:
 		p.next()
@@ -369,10 +429,11 @@ func (p *parser) parseActUnary() (ActionFormula, error) {
 		if err != nil {
 			return nil, err
 		}
-		return NotAction(a), nil
+		return NotAction(a), p.setHeight(p.height + 1)
 	case tokIdent:
 		text := p.tok.text
 		p.next()
+		p.height = 1
 		switch text {
 		case "true", "any":
 			return AnyAction(), nil
@@ -384,10 +445,12 @@ func (p *parser) parseActUnary() (ActionFormula, error) {
 	case tokString:
 		text := p.tok.text
 		p.next()
+		p.height = 1
 		return Action(text), nil
 	case tokRegex:
 		pat := p.tok.text
 		p.next()
+		p.height = 1
 		return ActionRegex(pat)
 	case tokLParen:
 		p.next()

@@ -35,7 +35,8 @@ var faultPoints = []string{
 
 // The catalog doubles as the runtime registry: registering at init lets
 // fault.ValidateRules reject -fault/admin specs that name no compiled-in
-// seam (and multivet/faultpoint keeps catalog and constants in sync).
+// seam (and the faultpoint contract in internal/contracts keeps catalog
+// and constants in sync).
 func init() {
 	for _, p := range faultPoints {
 		fault.RegisterPoint(p)

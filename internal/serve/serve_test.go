@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +15,7 @@ import (
 
 	"multival/internal/aut"
 	"multival/internal/lts"
+	"multival/internal/mcl"
 )
 
 // bufAut is the one-place buffer in canonical .aut form (the golden
@@ -328,6 +330,37 @@ func TestServeErrors(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed body: status %d", resp.StatusCode)
+	}
+}
+
+// TestServeDeepQueryRejected: a property query nested past mcl's bound is
+// a 400, not a crash. Under a 64 MB stack cap, 400,000 nested negations
+// used to abort the whole process with a fatal stack overflow, which no
+// recover can catch; afterwards the server still answers /healthz.
+func TestServeDeepQueryRejected(t *testing.T) {
+	defer debug.SetMaxStack(debug.SetMaxStack(64 << 20))
+	_, ts := newTestServer(t, Config{QueueWorkers: 1, QueueDepth: 4})
+	for _, depth := range []int{mcl.MaxNesting + 1, 400_000} {
+		req := SolveRequest{
+			Model: bufAut,
+			Rates: map[string]float64{"put": 1, "get": 2},
+			Check: []string{strings.Repeat("not ", depth-1) + "true"},
+		}
+		status, body := postJSON(t, ts.URL+"/v1/solve", req)
+		if status != http.StatusBadRequest {
+			t.Fatalf("query nested %d deep: status %d: %.200s; want 400", depth, status, body)
+		}
+		if e := decodeError(t, body); e.Code != "bad_request" || !strings.Contains(e.Message, "nested deeper") {
+			t.Fatalf("query nested %d deep: error %+v", depth, e)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after deep queries: %d", resp.StatusCode)
 	}
 }
 
