@@ -48,12 +48,17 @@ chaos:
 smoke:
 	./scripts/smoke.sh
 
-# Short native fuzzing of the two text inputs that arrive from outside:
-# the .aut read/write round trip and MCL property queries. Crashers land
-# in the package's testdata/fuzz corpus; commit them with their fix.
+# Short native fuzzing of the five inputs that arrive from outside: the
+# .aut read/write round trip, MCL property queries, LOTOS specifications,
+# fault specs and /v1/solve request bodies (decoding, validation and
+# model resolution). Crashers land in the package's testdata/fuzz
+# corpus; commit them with their fix.
 fuzz:
 	$(GO) test -run XXX -fuzz FuzzAutRoundTrip -fuzztime 10s ./internal/aut
 	$(GO) test -run XXX -fuzz FuzzParseQuery -fuzztime 10s ./internal/mcl
+	$(GO) test -run XXX -fuzz FuzzParseLOTOS -fuzztime 10s ./internal/lotos
+	$(GO) test -run XXX -fuzz FuzzParseSpec -fuzztime 10s ./internal/fault
+	$(GO) test -run XXX -fuzz FuzzDecodeSolveRequest -fuzztime 10s ./internal/serve
 
 # The benchmark harness is its own module (mvbench/go.mod) importing
 # multival/internal/..., so the root build never compiles it: vet and
@@ -76,9 +81,10 @@ bench-engine:
 # throughput bounds, the server's cold-solve vs cache-hit request
 # latency, sequential vs sharded generation of the ~100k-state product,
 # the 3x3 fame sweep and process-calculus generation, repeated for
-# benchstat and summarized into BENCH_PR7.json. Pass a previous summary
-# through `./scripts/bench.sh --compare BENCH_PR6.json` for a delta
-# table.
+# benchstat and summarized under the git-ignored .bench_build/; a ledger
+# entry needs OUT_JSON=BENCH_PR<n>.json (and OUT_TXT). Pass a previous
+# summary through `./scripts/bench.sh --compare BENCH_PR15.json` for a
+# delta table.
 bench-solver:
 	./scripts/bench.sh
 

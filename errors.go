@@ -30,8 +30,10 @@ var (
 	// chain does not have (e.g. MeanTimeTo from a state that can never
 	// reach the labeled transition).
 	ErrNotIrreducible = engine.ErrNotIrreducible
-	// ErrNoConvergence: an iterative solver exhausted its iteration
-	// budget (see WithTolerance / WithMaxIterations).
+	// ErrNoConvergence: an iterative solver (stationary sweeps, the
+	// projected bias sweeps, or the fallback of a stalled BiCGSTAB solve
+	// on a block of 128 states or more; smaller blocks are solved
+	// directly) exhausted its fixed budget of 1,000,000 sweeps.
 	ErrNoConvergence = engine.ErrNoConvergence
 	// ErrZeno: the model contains a cycle of instantaneous transitions
 	// (tau livelock), which has no timed semantics.

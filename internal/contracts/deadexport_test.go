@@ -19,12 +19,9 @@ var deadExportAllowed = map[string]bool{
 	"fault.Enabled":              true,
 	"fault.KnownPoint":           true,
 	"fault.Points":               true,
-	"imc.ComposeAll":             true,
 	"lotos.MustParse":            true,
 	"lts.Isomorphic":             true,
 	"lts.Random":                 true,
-	"markov.ExpectedReward":      true,
-	"mcl.AlwaysAfter":            true,
 	"mcl.MustActionRegex":        true,
 	"mcl.MustParse":              true,
 	"mcl.VisibleAction":          true,

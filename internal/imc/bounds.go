@@ -336,7 +336,7 @@ func (m *IMC) throughputBoundPolicy(e *boundsEvaluator, maximize bool, opts mark
 // extension the paper lists as an open issue without the exponential
 // scheduler enumeration of ThroughputBoundsEnum: each policy-iteration
 // round costs one evaluation, so models with dozens of nondeterministic
-// states are solvable. opts carries the solver tolerances, worker count,
+// states are solvable. opts carries the solver worker count,
 // cancellation context and progress observer.
 func (m *IMC) ThroughputBounds(label string, opts markov.SolveOptions) (min, max float64, err error) {
 	e, err := newBoundsEvaluator(m, label)

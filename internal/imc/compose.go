@@ -176,23 +176,6 @@ func Compose(a, b *IMC, syncGates []string, maxStates int) (*IMC, error) {
 	return out, nil
 }
 
-// ComposeAll folds Compose over a list of IMCs (left to right) with a
-// single global sync-gate set.
-func ComposeAll(ms []*IMC, syncGates []string, maxStates int) (*IMC, error) {
-	if len(ms) == 0 {
-		return nil, fmt.Errorf("imc: nothing to compose")
-	}
-	acc := ms[0]
-	for _, next := range ms[1:] {
-		var err error
-		acc, err = Compose(acc, next, syncGates, maxStates)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return acc, nil
-}
-
 func gateSet(l *lts.LTS) map[string]bool {
 	set := map[string]bool{}
 	l.EachTransition(func(t lts.Transition) {

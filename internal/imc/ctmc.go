@@ -288,7 +288,7 @@ func (r *CTMCResult) SteadyState() ([]float64, error) {
 // ("steady-state or time-dependent state probabilities", paper §4),
 // starting from the initial distribution (vanishing initial states
 // resolve instantaneously at time zero). opts carries the solver
-// tolerances, cancellation and progress observer.
+// worker count, cancellation and progress observer.
 func (r *CTMCResult) TransientOpt(t float64, opts markov.SolveOptions) ([]float64, error) {
 	// markov.Transient starts from a single state; combine linearly
 	// over the initial distribution (the transient operator is linear

@@ -5,13 +5,14 @@
 // component is visited, every state it can reach outside itself is
 // already solved, so its contribution moves to the right-hand side and
 // the component system is small, nonsingular and diagonally dominant.
-// Each block runs BiCGSTAB when it has at least krylovMinStates
-// unknowns and Gauss–Seidel sweeps below, with damped-Jacobi fallback on
-// Krylov breakdown. One scratch set is reused across all blocks of a
-// solve.
+// Each block below krylovMinStates unknowns is solved directly by GTH
+// elimination (no iteration, no tolerance); larger blocks run BiCGSTAB,
+// with damped-Jacobi fallback on Krylov breakdown or stall. One scratch
+// set is reused across all blocks of a solve.
 package markov
 
 import (
+	"fmt"
 	"math"
 
 	"multival/internal/engine"
@@ -19,32 +20,32 @@ import (
 )
 
 // blockScratch reuses every allocation of a block-structured solve
-// across blocks and systems: the Krylov work vectors plus the compacted
-// right-hand side, solution, sweep double-buffer and skip mask of the
-// current block. The zero value is ready; buffers grow to the largest
-// block seen.
+// across blocks and systems: the Krylov work vectors, the dense GTH
+// factor, plus the compacted right-hand side, solution, leak and
+// fallback double-buffer of the current block. The zero value is ready;
+// buffers grow to the largest block seen.
 type blockScratch struct {
-	ks   sparse.KrylovScratch
-	x    []float64
-	rhs  []float64
-	diag []float64
-	next []float64
-	skip []bool
-	mi   []int
+	ks    sparse.KrylovScratch
+	x     []float64
+	rhs   []float64
+	diag  []float64
+	leak  []float64
+	next  []float64
+	dense []float64
+	mi    []int
 }
 
 // grow sizes the per-block buffers for a block of n states and returns
-// them (x, rhs, diag, next, skip). skip is always all-false: the block
-// systems compact boundary states away instead of masking them.
-func (bs *blockScratch) grow(n int) (x, rhs, diag, next []float64, skip []bool) {
+// the caller-filled ones (x, rhs, diag, leak).
+func (bs *blockScratch) grow(n int) (x, rhs, diag, leak []float64) {
 	if cap(bs.x) < n {
 		bs.x = make([]float64, n)
 		bs.rhs = make([]float64, n)
 		bs.diag = make([]float64, n)
+		bs.leak = make([]float64, n)
 		bs.next = make([]float64, n)
-		bs.skip = make([]bool, n)
 	}
-	return bs.x[:n], bs.rhs[:n], bs.diag[:n], bs.next[:n], bs.skip[:n]
+	return bs.x[:n], bs.rhs[:n], bs.diag[:n], bs.leak[:n]
 }
 
 // members widens an SCC member list to the []int form Submatrix takes,
@@ -60,69 +61,146 @@ func (bs *blockScratch) members(comp []int32) []int {
 	return mi
 }
 
-// solveBlock solves the hitting-type system (diag − sub) x = rhs for one
-// block, choosing the kernel from the block size: BiCGSTAB (falling back
-// to damped Jacobi sweeps on breakdown or stall) or Gauss–Seidel sweeps.
-// x carries the initial guess in and the solution out. opts must already
-// have defaults applied.
-func solveBlock(sub *sparse.Matrix, diag, rhs, x []float64, stage string, opts SolveOptions, bs *blockScratch) error {
+// solveBlock solves one block system A x = rhs, A = diag − sub, or with
+// transposed Aᵀ x = rhs, sub then holding the transposed rates. leak[i]
+// is the rate at which state i leaves the untransposed block, summed by
+// the caller from its CSR row (it is overwritten). Blocks below
+// krylovMinStates are solved directly by gth, larger ones by BiCGSTAB
+// with damped-Jacobi fallback on breakdown or stall. x carries the
+// initial guess in and the solution out.
+func solveBlock(sub *sparse.Matrix, diag, leak, rhs, x []float64, transposed bool, stage string, opts SolveOptions, bs *blockScratch) error {
 	n := len(x)
-	method := kernelGS
-	fallback := ""
-	useJacobi := false
-	if n >= krylovMinStates {
-		method = kernelBiCGSTAB
-		probe := func(iter int, res float64) error {
-			if err := opts.canceled(stage, iter); err != nil {
-				return err
-			}
-			if iter%progressEvery == 0 {
-				opts.Progress.Report(engine.Progress{Stage: stage, States: n, Round: iter, Residual: res})
-			}
-			return nil
-		}
-		st, _, _, err := sparse.BiCGSTAB(sub, diag, rhs, x, opts.Tolerance, krylovMaxIter(opts, n), opts.workers(), &bs.ks, probe)
-		if err != nil {
+	if n < krylovMinStates {
+		if err := opts.canceled(stage, 0); err != nil {
 			return err
 		}
-		if st == sparse.KrylovConverged {
-			return nil
-		}
-		// Breakdown or stall: restart the semiconvergent damped-Jacobi
-		// sweeps from a zero guess (the partial Krylov iterate may be
-		// arbitrarily far off after a breakdown).
-		nFallbackKrylovJacobi.Add(1)
-		fallback = kernelJacobi
-		useJacobi = true
-		for i := range x {
-			x[i] = 0
-		}
+		return bs.gth(sub, leak, rhs, x, transposed, stage)
 	}
-
-	skip := bs.skip[:n]
-	cur, next := x, bs.next[:n]
-	residual := math.Inf(1)
-	for iter := 0; iter < opts.MaxIterations; iter++ {
+	probe := func(iter int, res float64) error {
 		if err := opts.canceled(stage, iter); err != nil {
 			return err
 		}
-		if useJacobi {
-			residual = sparse.HittingSweepJacobi(sub, skip, rhs, diag, cur, next, opts.workers())
-			cur, next = next, cur
-		} else {
-			residual = sparse.HittingSweepGS(sub, skip, rhs, diag, cur)
+		if iter%progressEvery == 0 {
+			opts.Progress.Report(engine.Progress{Stage: stage, States: n, Round: iter, Residual: res})
 		}
+		return nil
+	}
+	st, _, _, err := sparse.BiCGSTAB(sub, diag, rhs, x, tolerance, krylovMaxIter(n), opts.workers(), &bs.ks, probe)
+	if err != nil {
+		return err
+	}
+	if st == sparse.KrylovConverged {
+		return nil
+	}
+	// Breakdown or stall: restart the semiconvergent damped-Jacobi
+	// sweeps from a zero guess (the partial Krylov iterate may be
+	// arbitrarily far off after a breakdown).
+	nFallbackKrylovJacobi.Add(1)
+	for i := range x {
+		x[i] = 0
+	}
+	skip := make([]bool, n) // block systems compact boundaries away
+	cur, next := x, bs.next[:n]
+	residual := math.Inf(1)
+	for iter := 0; iter < iterationBudget; iter++ {
+		if err := opts.canceled(stage, iter); err != nil {
+			return err
+		}
+		residual = sparse.HittingSweepJacobi(sub, skip, rhs, diag, cur, next, opts.workers())
+		cur, next = next, cur
 		if iter%progressEvery == 0 {
 			opts.Progress.Report(engine.Progress{Stage: stage, States: n, Round: iter, Residual: residual})
 		}
-		if residual < opts.Tolerance {
+		if residual < tolerance {
 			if &cur[0] != &x[0] {
 				copy(x, cur)
 			}
 			return nil
 		}
 	}
-	return &ConvergenceError{Iterations: opts.MaxIterations, Residual: residual, Method: method, Fallback: fallback}
+	return &ConvergenceError{Iterations: iterationBudget, Residual: residual, Method: kernelBiCGSTAB, Fallback: kernelJacobi}
+}
+
+// gth solves one small block directly by the subtraction-free
+// elimination of Grassmann, Taksar and Heyman (Oper. Res. 33(5), 1985).
+// The untransposed block is A = diag(p) − S, S ≥ 0 the in-block rates
+// and p_i = leak_i + Σ_j S_ij. Eliminating state k censors the chain to
+// the states after it: S_ij += S_ik·S_kj/p_k, leak_i += S_ik·leak_k/p_k,
+// and each pivot is recomputed as its leak plus the remaining rates of
+// its row instead of being subtracted from the exit rate. So with
+// rhs ≥ 0 every step adds nonnegative terms only, and no digit is lost
+// to cancellation however stiff the rates. The dense factor A = LU keeps
+// the pivots on the diagonal, U's rates right of it and L's multipliers
+// S_ik/p_k below it; the forward substitution (through L for A, through
+// Uᵀ for Aᵀ) runs inside the elimination, the back substitution after.
+func (bs *blockScratch) gth(sub *sparse.Matrix, leak, rhs, x []float64, transposed bool, stage string) error {
+	n := len(x)
+	if cap(bs.dense) < n*n {
+		bs.dense = make([]float64, n*n)
+	}
+	a := bs.dense[:n*n]
+	clear(a)
+	for r := 0; r < n; r++ {
+		cols, vals := sub.Row(r)
+		for p, c := range cols {
+			if transposed {
+				a[int(c)*n+r] += vals[p]
+			} else {
+				a[r*n+int(c)] += vals[p]
+			}
+		}
+	}
+	copy(x, rhs)
+	for k := 0; k < n; k++ {
+		row := a[k*n : (k+1)*n]
+		pivot := leak[k]
+		for _, v := range row[k+1:] {
+			pivot += v
+		}
+		if pivot == 0 {
+			return fmt.Errorf("markov: singular %s block: local state %d of %d has no path out: %w", stage, k, n, engine.ErrNotIrreducible)
+		}
+		row[k] = pivot
+		if transposed {
+			x[k] /= pivot
+			for j := k + 1; j < n; j++ {
+				x[j] += row[j] * x[k]
+			}
+		}
+		for i := k + 1; i < n; i++ {
+			ri := a[i*n : (i+1)*n]
+			if ri[k] == 0 {
+				continue
+			}
+			f := ri[k] / pivot
+			ri[k] = f
+			// The j = i term lands on the unused diagonal slot, which
+			// state i's pivot overwrites.
+			for j := k + 1; j < n; j++ {
+				ri[j] += f * row[j]
+			}
+			leak[i] += f * leak[k]
+			if !transposed {
+				x[i] += f * x[k]
+			}
+		}
+	}
+	for k := n - 1; k >= 0; k-- {
+		sum := x[k]
+		if transposed {
+			for i := k + 1; i < n; i++ {
+				sum += a[i*n+k] * x[i]
+			}
+			x[k] = sum
+			continue
+		}
+		row := a[k*n : (k+1)*n]
+		for j := k + 1; j < n; j++ {
+			sum += row[j] * x[j]
+		}
+		x[k] = sum / row[k]
+	}
+	return nil
 }
 
 // absorptionBlocks computes the per-BSCC absorption probabilities from
@@ -195,10 +273,11 @@ func (c *CTMC) absorptionBlocks(bsccs [][]int, comps [][]int32, compOf []int32, 
 				// The block's transposed system: the in-component
 				// incoming submatrix IS the transpose of the block, and
 				// transposition preserves the diagonal, so the exit
-				// rates stay the preconditioner.
+				// rates stay the preconditioner. The leak is the rate
+				// out of the component along the untransposed row.
 				mi := bs.members(members)
 				subT := tin.Submatrix(mi)
-				x, rhs, diag, _, _ := bs.grow(len(mi))
+				x, rhs, diag, leak := bs.grow(len(mi))
 				for i, s := range mi {
 					diag[i] = c.exitRate[s]
 					sum := 0.0
@@ -213,8 +292,16 @@ func (c *CTMC) absorptionBlocks(bsccs [][]int, comps [][]int32, compOf []int32, 
 					}
 					rhs[i] = sum
 					x[i] = 0
+					out := 0.0
+					cols, vals = mat.Row(s)
+					for p, d := range cols {
+						if compOf[d] != int32(ci) {
+							out += vals[p]
+						}
+					}
+					leak[i] = out
 				}
-				if err := solveBlock(subT, diag, rhs, x, "absorb", opts, &bs); err != nil {
+				if err := solveBlock(subT, diag, leak, rhs, x, true, "absorb", opts, &bs); err != nil {
 					return nil, err
 				}
 				for i, s := range mi {
@@ -341,23 +428,26 @@ func (c *CTMC) hittingBlocks(isTarget []bool, opts SolveOptions) ([]float64, err
 			h[s] = sum / c.exitRate[s]
 		} else {
 			sub := mat.Submatrix(free)
-			x, rhs, diag, _, _ := bs.grow(len(free))
+			x, rhs, diag, leak := bs.grow(len(free))
 			for i, s := range free {
 				diag[i] = c.exitRate[s]
 				sum := 1.0
+				out := 0.0
 				cols, vals := mat.Row(s)
 				for p, d := range cols {
-					// In-component targets contribute h = 0 and are
-					// compacted away; everything out of component is
-					// already solved.
-					if compOf[d] != int32(ci) {
+					// Both leave the block: in-component targets (h = 0,
+					// compacted away) and the already solved states out
+					// of the component.
+					if compOf[d] != int32(ci) || isTarget[d] {
 						sum += vals[p] * h[d]
+						out += vals[p]
 					}
 				}
 				rhs[i] = sum
+				leak[i] = out
 				x[i] = 0
 			}
-			if err := solveBlock(sub, diag, rhs, x, "fpt", opts, &bs); err != nil {
+			if err := solveBlock(sub, diag, leak, rhs, x, false, "fpt", opts, &bs); err != nil {
 				return nil, err
 			}
 			for i, s := range free {
@@ -368,56 +458,4 @@ func (c *CTMC) hittingBlocks(isTarget []bool, opts SolveOptions) ([]float64, err
 		block++
 	}
 	return h, nil
-}
-
-// biasKrylov attempts the Poisson equation by rank-one deflation:
-// pinning h at 0 on one recurrent reference state makes the system over
-// the remaining states nonsingular (the chain is unichain with no
-// absorbing states when this path runs), so one Krylov solve replaces
-// the damped sweep iteration. The result is shifted to the h[initial]=0
-// convention of the sweep path. Returns ok=false after counting the
-// fallback when the kernel does not converge.
-func (c *CTMC) biasKrylov(reward []float64, gain float64, ref int, opts SolveOptions) (h []float64, ok bool, err error) {
-	n := c.numStates
-	mat := c.matrix()
-	var bs blockScratch
-	free := make([]int, 0, n-1)
-	for s := 0; s < n; s++ {
-		if s != ref {
-			free = append(free, s)
-		}
-	}
-	sub := mat.Submatrix(free)
-	x, rhs, diag, _, _ := bs.grow(n - 1)
-	for i, s := range free {
-		diag[i] = c.exitRate[s]
-		rhs[i] = reward[s] - gain
-		x[i] = 0
-	}
-	probe := func(iter int, res float64) error {
-		if perr := opts.canceled("bias", iter); perr != nil {
-			return perr
-		}
-		if iter%progressEvery == 0 {
-			opts.Progress.Report(engine.Progress{Stage: "bias", States: n, Round: iter, Residual: res})
-		}
-		return nil
-	}
-	st, _, _, err := sparse.BiCGSTAB(sub, diag, rhs, x, opts.Tolerance, krylovMaxIter(opts, n-1), opts.workers(), &bs.ks, probe)
-	if err != nil {
-		return nil, false, err
-	}
-	if st != sparse.KrylovConverged {
-		nFallbackKrylovJacobi.Add(1)
-		return nil, false, nil
-	}
-	h = make([]float64, n)
-	for i, s := range free {
-		h[s] = x[i]
-	}
-	shift := h[c.initial]
-	for s := range h {
-		h[s] -= shift
-	}
-	return h, true, nil
 }

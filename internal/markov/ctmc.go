@@ -2,9 +2,8 @@
 // numerical solvers the Multival performance-evaluation flow relies on:
 // steady-state distributions (Gauss–Seidel with BSCC analysis), transient
 // distributions (uniformization), transition throughputs, expected
-// absorption times (used for latency predictions), and a discrete-event
-// simulator for cross-validation. It plays the role of BCG_STEADY and
-// BCG_TRANSIENT in CADP.
+// absorption times (used for latency predictions) and bias (Poisson)
+// vectors. It plays the role of BCG_STEADY and BCG_TRANSIENT in CADP.
 //
 // Transitions are accumulated as labeled triplets; solvers read them
 // through the shared sparse CSR rate matrix (package sparse), which is
@@ -144,9 +143,6 @@ func (c *CTMC) Freeze() {
 
 // ExitRate returns the total outgoing rate of a state (0 for absorbing).
 func (c *CTMC) ExitRate(s int) float64 { return c.exitRate[s] }
-
-// IsAbsorbing reports whether the state has no outgoing transitions.
-func (c *CTMC) IsAbsorbing(s int) bool { return c.exitRate[s] == 0 }
 
 // EachFrom calls f for every transition leaving s, in ascending
 // destination order.

@@ -13,6 +13,55 @@ func almost(t *testing.T, got, want, tol float64, what string) {
 	}
 }
 
+// Simulate runs a discrete-event simulation of the chain for the given
+// total time and returns the empirical fraction of time spent in each
+// state: the independent check the numerical solvers are
+// cross-validated against.
+func (c *CTMC) Simulate(rng *rand.Rand, horizon float64) []float64 {
+	occ := make([]float64, c.numStates)
+	s := c.initial
+	now := 0.0
+	for now < horizon {
+		exit := c.exitRate[s]
+		if exit == 0 {
+			occ[s] += horizon - now
+			break
+		}
+		dwell := rng.ExpFloat64() / exit
+		if now+dwell > horizon {
+			occ[s] += horizon - now
+			break
+		}
+		occ[s] += dwell
+		now += dwell
+		// Pick the next transition proportionally to its rate.
+		u := rng.Float64() * exit
+		acc := 0.0
+		next := s
+		c.EachFrom(s, func(t Transition) {
+			if acc <= u && u < acc+t.Rate {
+				next = t.Dst
+			}
+			acc += t.Rate
+		})
+		s = next
+	}
+	for i := range occ {
+		occ[i] /= horizon
+	}
+	return occ
+}
+
+// ExpectedReward returns the steady-state expectation of a state reward
+// vector.
+func ExpectedReward(pi, reward []float64) float64 {
+	total := 0.0
+	for i, p := range pi {
+		total += p * reward[i]
+	}
+	return total
+}
+
 // mm1k builds an M/M/1/K queue as a birth-death CTMC.
 func mm1k(lambda, mu float64, k int) *CTMC {
 	c := NewCTMC(k + 1)

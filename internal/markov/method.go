@@ -12,14 +12,15 @@ import "sync/atomic"
 //     A sweep that stagnates (its order fighting the cycle structure)
 //     switches to damped Jacobi, semiconvergent on every irreducible
 //     component.
-//   - Hitting-type systems (absorption weights, expected first passage)
-//     are solved block by block over the SCC decomposition: blocks of
-//     at least krylovMinStates unknowns run BiCGSTAB, smaller ones
-//     Gauss–Seidel. A Krylov breakdown or stall falls back to damped
-//     Jacobi sweeps.
-//   - The Poisson (bias) equation runs one deflated BiCGSTAB solve when
-//     the system has at least krylovMinStates unknowns and no absorbing
-//     boundary, and damped Jacobi sweeps otherwise.
+//   - Nonsingular block systems — hitting-type systems (absorption
+//     weights, expected first passage) block by block over the SCC
+//     decomposition, and the deflated Poisson (bias) system — are
+//     solved directly by GTH elimination below krylovMinStates unknowns
+//     (no iteration, so never a ConvergenceError) and by BiCGSTAB at or
+//     above it. A Krylov breakdown or stall falls back to damped Jacobi
+//     sweeps.
+//   - The Poisson equation of a chain with an absorbing boundary runs
+//     projected damped Jacobi sweeps.
 //
 // SolveOptions.Workers only shards the kernels whose result does not
 // depend on the sharding (the BiCGSTAB matvec and the damped-Jacobi
@@ -30,24 +31,35 @@ const (
 	kernelBiCGSTAB = "bicgstab"
 )
 
-// krylovMinStates is the Krylov threshold: below it the setup and
-// per-iteration vector overhead of BiCGSTAB outweighs the sweep count it
-// saves, so small blocks keep Gauss–Seidel.
+// tolerance and maxIterations bound every iterative kernel: the sweep
+// delta (relative to ‖h‖ in the bias sweep, to ‖x‖ in BiCGSTAB's scaled
+// residual) and the sweeps of one solve. Tests lower iterationBudget to
+// drive the ConvergenceError paths.
+const (
+	tolerance     = 1e-12
+	maxIterations = 1_000_000
+)
+
+var iterationBudget = maxIterations
+
+// krylovMinStates is the size switch of the nonsingular block systems:
+// below it a dense GTH elimination costs at most (2/3)·127³ ≈ 1.4 Mflop
+// and needs no iteration, so only larger blocks run BiCGSTAB.
 const krylovMinStates = 128
 
 // krylovIterCap, when positive, caps BiCGSTAB iterations below the
-// options budget; tests force it to 1 to drive the fallback path on
+// iteration budget; tests force it to 1 to drive the fallback path on
 // systems the kernel would otherwise solve.
 var krylovIterCap = 0
 
-// krylovMaxIter bounds one BiCGSTAB attempt: the options budget, but
+// krylovMaxIter bounds one BiCGSTAB attempt: the iteration budget, but
 // never more than n+300 iterations — a Krylov method that has not
 // converged within the system dimension will not, and the damped-Jacobi
 // fallback still has the full budget after it.
-func krylovMaxIter(opts SolveOptions, n int) int {
+func krylovMaxIter(n int) int {
 	max := n + 300
-	if opts.MaxIterations < max {
-		max = opts.MaxIterations
+	if iterationBudget < max {
+		max = iterationBudget
 	}
 	if krylovIterCap > 0 && krylovIterCap < max {
 		max = krylovIterCap

@@ -20,50 +20,30 @@ import (
 // (Howard) policy iteration: a policy switch is profitable exactly when
 // it increases instantaneous reward plus successor bias.
 //
-// A chain with at least krylovMinStates+1 states and no absorbing
-// boundary solves one deflated BiCGSTAB system (see biasKrylov). Every
-// other chain, and a Krylov breakdown or stall, runs the DAMPED Jacobi
-// hitting kernel (rows sharded across opts.Workers). Gauss–Seidel would
-// not do: its order sweeps along OUTGOING edges, and on a cycle of odd
-// length its iteration operator keeps an eigenvalue of modulus one, so
-// the iterate oscillates forever; the damped Jacobi operator is (I + P)/2 with P the
-// embedded jump chain, whose spectrum it maps strictly inside the unit
-// disk except at the constant direction. That direction is projected to
-// h[initial] = 0 after every sweep; convergence is measured relative to
-// the magnitude of h. The equation is singular along the constant
-// vector, and the gain cancels its drift only for unichain structure —
-// a chain with several BSCCs (whose local gains generally differ from
-// g) is rejected up front with IrreducibilityError rather than letting
-// the iterate drift through the whole iteration budget.
+// The equation is singular along the constant vector and consistent only
+// for unichain structure, so a chain with several BSCCs is rejected with
+// IrreducibilityError. Without an absorbing boundary, pinning h at 0 on
+// a recurrent reference state leaves a nonsingular system whose leak is
+// the rate into the reference, solved by solveBlock like a hitting
+// block. With an absorbing boundary (absorbing states pinned at 0, a
+// fixed point the deflated system does not share) it runs the DAMPED
+// Jacobi hitting kernel, rows sharded across opts.Workers. Gauss–Seidel
+// would not do: on a cycle of odd length its operator keeps an
+// eigenvalue of modulus one and the iterate oscillates forever; the
+// damped operator (I + P)/2, P the embedded jump chain, maps the
+// spectrum strictly inside the unit disk except the constant direction,
+// which is projected to h[initial] = 0 after every sweep. Convergence is
+// measured relative to the magnitude of h.
 func (c *CTMC) Bias(reward []float64, gain float64, opts SolveOptions) ([]float64, error) {
-	opts = opts.withDefaults()
 	n := c.numStates
-	c.matrix() // the bias sweep never reads the incoming view
+	mat := c.matrix() // the bias solve never reads the incoming view
 	bsccs := c.bsccs()
 	if len(bsccs) > 1 {
 		return nil, &IrreducibilityError{bsccs[1][0], "is in a second bottom component (bias needs unichain structure)"}
 	}
-	// Krylov path: when the chain has no absorbing boundary (the usual
-	// unichain case), pinning h at one recurrent reference state makes
-	// the Poisson system nonsingular and one deflated BiCGSTAB solve
-	// replaces the damped sweeps. With an absorbing boundary the sweep's
-	// projection semantics (absorbing states pinned at 0) differ from
-	// the deflated system, so the sweep path keeps that case.
-	krylovFell := false
-	if n-1 >= krylovMinStates {
-		ref := bsccs[0][0]
-		if c.exitRate[ref] > 0 {
-			h, ok, err := c.biasKrylov(reward, gain, ref, opts)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				return h, nil
-			}
-			krylovFell = true
-		}
+	if ref := bsccs[0][0]; c.exitRate[ref] > 0 {
+		return c.biasDeflated(reward, gain, ref, opts)
 	}
-	mat := c.matrix()
 	skip := make([]bool, n)
 	b := make([]float64, n)
 	for s := 0; s < n; s++ {
@@ -77,7 +57,7 @@ func (c *CTMC) Bias(reward []float64, gain float64, opts SolveOptions) ([]float6
 	next := make([]float64, n)
 	ref := c.initial
 	residual := math.Inf(1)
-	for iter := 0; iter < opts.MaxIterations; iter++ {
+	for iter := 0; iter < iterationBudget; iter++ {
 		if err := opts.canceled("bias", iter); err != nil {
 			return nil, err
 		}
@@ -97,14 +77,47 @@ func (c *CTMC) Bias(reward []float64, gain float64, opts SolveOptions) ([]float6
 		if iter%progressEvery == 0 {
 			opts.Progress.Report(engine.Progress{Stage: "bias", States: n, Round: iter, Residual: residual})
 		}
-		if residual < opts.Tolerance*(1+norm) {
+		if residual < tolerance*(1+norm) {
 			return h, nil
 		}
 	}
-	ce := &ConvergenceError{Iterations: opts.MaxIterations, Residual: residual, Method: kernelJacobi}
-	if krylovFell {
-		ce.Method = kernelBiCGSTAB
-		ce.Fallback = kernelJacobi
+	return nil, &ConvergenceError{Iterations: iterationBudget, Residual: residual, Method: kernelJacobi}
+}
+
+// biasDeflated solves the Poisson equation with h pinned at 0 on the
+// recurrent reference state ref, then shifts the result to the
+// h[initial] = 0 convention.
+func (c *CTMC) biasDeflated(reward []float64, gain float64, ref int, opts SolveOptions) ([]float64, error) {
+	n := c.numStates
+	mat := c.matrix()
+	free := make([]int, 0, n-1)
+	for s := 0; s < n; s++ {
+		if s != ref {
+			free = append(free, s)
+		}
 	}
-	return nil, ce
+	var bs blockScratch
+	x, rhs, diag, leak := bs.grow(n - 1) // fresh, so x and leak start at 0
+	for i, s := range free {
+		diag[i] = c.exitRate[s]
+		rhs[i] = reward[s] - gain
+		cols, vals := mat.Row(s)
+		for p, d := range cols {
+			if int(d) == ref {
+				leak[i] += vals[p]
+			}
+		}
+	}
+	if err := solveBlock(mat.Submatrix(free), diag, leak, rhs, x, false, "bias", opts, &bs); err != nil {
+		return nil, err
+	}
+	h := make([]float64, n)
+	for i, s := range free {
+		h[s] = x[i]
+	}
+	shift := h[c.initial]
+	for s := range h {
+		h[s] -= shift
+	}
+	return h, nil
 }

@@ -126,8 +126,9 @@ func TestJacobiMatchesGaussSeidelAbsorptionTime(t *testing.T) {
 		n := 3 + rng.Intn(20)
 		chains = append(chains, randIrreducible(rng, n, 0, uniformRate(rng)))
 	}
-	// A block above the Krylov threshold, solved with the Krylov
-	// budget capped so the damped-Jacobi fallback does the work.
+	// The small chains are GTH blocks; a block above the Krylov
+	// threshold, solved with the Krylov budget capped, makes the
+	// damped-Jacobi fallback do the work.
 	chains = append(chains, randIrreducible(rng, 150, 150, uniformRate(rng)))
 	for ci, c := range chains {
 		target := rng.Intn(c.NumStates())
@@ -209,9 +210,11 @@ func TestAbsorptionSolvesOneFewerSystem(t *testing.T) {
 
 func TestConvergenceErrorCarriesResidual(t *testing.T) {
 	// Starved iteration budgets must report the actual last residual,
-	// not NaN.
-	c := mm1k(1.5, 2, 50)
-	_, err := c.SteadyState(SolveOptions{MaxIterations: 2})
+	// not NaN. The first-passage block (200 states) runs BiCGSTAB,
+	// capped into its damped-Jacobi fallback.
+	c := mm1k(1.5, 2, 200)
+	var err error
+	withIterationBudget(2, func() { _, err = c.SteadyState(SolveOptions{}) })
 	var ce *ConvergenceError
 	if !errors.As(err, &ce) {
 		t.Fatalf("expected ConvergenceError, got %v", err)
@@ -220,7 +223,9 @@ func TestConvergenceErrorCarriesResidual(t *testing.T) {
 		t.Errorf("steady residual = %v, want a positive finite value", ce.Residual)
 	}
 
-	_, err = c.ExpectedTimeToAbsorption([]int{0}, SolveOptions{MaxIterations: 2})
+	withIterationBudget(2, func() {
+		withKrylovCap(func() { _, err = c.ExpectedTimeToAbsorption([]int{0}, SolveOptions{}) })
+	})
 	if !errors.As(err, &ce) {
 		t.Fatalf("expected ConvergenceError, got %v", err)
 	}

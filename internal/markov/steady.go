@@ -9,13 +9,9 @@ import (
 	"multival/internal/sparse"
 )
 
-// SolveOptions tunes the iterative solvers.
+// SolveOptions carries the per-call settings of a solve; tolerances and
+// iteration budgets are fixed package-wide (tolerance, maxIterations).
 type SolveOptions struct {
-	// Tolerance is the convergence threshold on the max-norm of the
-	// iterate difference (default 1e-12).
-	Tolerance float64
-	// MaxIterations bounds the iteration count (default 1_000_000).
-	MaxIterations int
 	// Workers shards the row-parallel kernels — the BiCGSTAB matvec and
 	// the damped-Jacobi fallback and bias sweeps — across that many
 	// goroutines (0 or 1 = sequential). It shards work and never changes
@@ -32,16 +28,6 @@ type SolveOptions struct {
 	// "absorb", "fpt", "bias" or "transient"; Round is the sweep
 	// number, Residual the current max-norm delta).
 	Progress engine.ProgressFunc
-}
-
-func (o SolveOptions) withDefaults() SolveOptions {
-	if o.Tolerance == 0 {
-		o.Tolerance = 1e-12
-	}
-	if o.MaxIterations == 0 {
-		o.MaxIterations = 1_000_000
-	}
-	return o
 }
 
 // workers returns the shard count of the row-parallel kernels.
@@ -112,7 +98,6 @@ func (e *IrreducibilityError) Unwrap() error { return engine.ErrNotIrreducible }
 // stationary distributions are weighted by the probability of absorption
 // into each BSCC from the initial state.
 func (c *CTMC) SteadyState(opts SolveOptions) ([]float64, error) {
-	opts = opts.withDefaults()
 	n := c.numStates
 	if n == 0 {
 		return nil, fmt.Errorf("markov: empty chain")
@@ -237,7 +222,7 @@ func (c *CTMC) stationaryWithin(members []int, opts SolveOptions) ([]float64, er
 	const stagnationWindow = 128
 	windowResidual := math.Inf(1)
 	residual := math.Inf(1)
-	for iter := 0; iter < opts.MaxIterations; iter++ {
+	for iter := 0; iter < iterationBudget; iter++ {
 		if err := opts.canceled("steady", iter); err != nil {
 			return nil, err
 		}
@@ -274,11 +259,11 @@ func (c *CTMC) stationaryWithin(members []int, opts SolveOptions) ([]float64, er
 		if iter%progressEvery == 0 {
 			opts.Progress.Report(engine.Progress{Stage: "steady", States: m, Round: iter, Residual: residual})
 		}
-		if residual < opts.Tolerance {
+		if residual < tolerance {
 			return pi, nil
 		}
 	}
-	ce := &ConvergenceError{Iterations: opts.MaxIterations, Residual: residual, Method: kernelGS}
+	ce := &ConvergenceError{Iterations: iterationBudget, Residual: residual, Method: kernelGS}
 	if useJacobi {
 		ce.Fallback = kernelJacobi
 	}
@@ -297,22 +282,11 @@ func (c *CTMC) Throughput(pi []float64, pred func(label string) bool) float64 {
 	return total
 }
 
-// ExpectedReward returns the steady-state expectation of a state reward
-// vector.
-func ExpectedReward(pi, reward []float64) float64 {
-	total := 0.0
-	for i, p := range pi {
-		total += p * reward[i]
-	}
-	return total
-}
-
 // ExpectedTimeToAbsorption returns, for every state, the expected time
 // until one of the target states is first reached (0 on targets). It
 // returns an error if some state cannot reach a target (infinite
 // expectation) — callers should trim to relevant states first.
 func (c *CTMC) ExpectedTimeToAbsorption(targets []int, opts SolveOptions) ([]float64, error) {
-	opts = opts.withDefaults()
 	n := c.numStates
 	isTarget := make([]bool, n)
 	for _, s := range targets {

@@ -3,7 +3,6 @@ package markov
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"multival/internal/engine"
 )
@@ -18,7 +17,6 @@ import (
 // (epsilon = 1e-12); for large L*t the summation starts near the Poisson
 // mode using logarithmic weights, in the spirit of Fox–Glynn.
 func (c *CTMC) Transient(t float64, opts SolveOptions) ([]float64, error) {
-	opts = opts.withDefaults()
 	n := c.numStates
 	if n == 0 {
 		return nil, fmt.Errorf("markov: empty chain")
@@ -131,42 +129,4 @@ func poissonWindow(q float64, eps float64) ([]float64, int) {
 		weights[i] /= total
 	}
 	return weights, lo
-}
-
-// Simulate runs a discrete-event simulation of the chain for the given
-// total time and returns the empirical fraction of time spent in each
-// state. Used in tests to cross-validate the numerical solvers.
-func (c *CTMC) Simulate(rng *rand.Rand, horizon float64) []float64 {
-	occ := make([]float64, c.numStates)
-	s := c.initial
-	now := 0.0
-	for now < horizon {
-		exit := c.exitRate[s]
-		if exit == 0 {
-			occ[s] += horizon - now
-			break
-		}
-		dwell := rng.ExpFloat64() / exit
-		if now+dwell > horizon {
-			occ[s] += horizon - now
-			break
-		}
-		occ[s] += dwell
-		now += dwell
-		// Pick the next transition proportionally to its rate.
-		u := rng.Float64() * exit
-		acc := 0.0
-		next := s
-		c.EachFrom(s, func(t Transition) {
-			if acc <= u && u < acc+t.Rate {
-				next = t.Dst
-			}
-			acc += t.Rate
-		})
-		s = next
-	}
-	for i := range occ {
-		occ[i] /= horizon
-	}
-	return occ
 }

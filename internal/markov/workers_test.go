@@ -22,8 +22,8 @@ func sameBits(a, b []float64) int {
 
 // TestWorkerCountNeverChangesResult: every analysis returns the same
 // bits at Workers 0, 1 and 4, on fixtures that reach each kernel —
-// Gauss–Seidel sweeps, BiCGSTAB blocks (at least krylovMinStates
-// unknowns), the damped-Jacobi fallbacks and bias sweeps, and the
+// stationary Gauss–Seidel sweeps, GTH blocks (below krylovMinStates
+// unknowns), BiCGSTAB blocks, the damped-Jacobi fallbacks, and the
 // uniformization product.
 func TestWorkerCountNeverChangesResult(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))

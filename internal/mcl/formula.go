@@ -83,11 +83,11 @@ func (a afLiteral) String() string        { return quoteAction(a.label) }
 func (a afRegex) Matches(l string) bool   { return a.re.MatchString(l) }
 func (a afRegex) String() string          { return regexSource(trimAnchor(a.re.String())) }
 func (a afNot) Matches(l string) bool     { return !a.a.Matches(l) }
-func (a afNot) String() string            { return "~" + a.a.String() }
+func (a afNot) String() string            { return printed(a) }
 func (a afAnd) Matches(l string) bool     { return a.a.Matches(l) && a.b.Matches(l) }
-func (a afAnd) String() string            { return "(" + a.a.String() + " & " + a.b.String() + ")" }
+func (a afAnd) String() string            { return printed(a) }
 func (a afOr) Matches(l string) bool      { return a.a.Matches(l) || a.b.Matches(l) }
-func (a afOr) String() string             { return "(" + a.a.String() + " | " + a.b.String() + ")" }
+func (a afOr) String() string             { return printed(a) }
 
 func trimAnchor(s string) string {
 	s = strings.TrimPrefix(s, "^(?:")
@@ -178,22 +178,79 @@ func (fNu) isFormula()    {}
 
 func (fTrue) String() string  { return "true" }
 func (fFalse) String() string { return "false" }
-func (f fNot) String() string { return "not " + paren(f.f) }
-func (f fAnd) String() string { return paren(f.a) + " and " + paren(f.b) }
-func (f fOr) String() string  { return paren(f.a) + " or " + paren(f.b) }
-func (f fDia) String() string { return "<" + f.act.String() + "> " + paren(f.f) }
-func (f fBox) String() string { return "[" + f.act.String() + "] " + paren(f.f) }
+func (f fNot) String() string { return printed(f) }
+func (f fAnd) String() string { return printed(f) }
+func (f fOr) String() string  { return printed(f) }
+func (f fDia) String() string { return printed(f) }
+func (f fBox) String() string { return printed(f) }
 func (f fVar) String() string { return f.name }
-func (f fMu) String() string  { return "mu " + f.name + " . " + f.body.String() }
-func (f fNu) String() string  { return "nu " + f.name + " . " + f.body.String() }
+func (f fMu) String() string  { return printed(f) }
+func (f fNu) String() string  { return printed(f) }
 
-func paren(f Formula) string {
-	switch f.(type) {
-	case fTrue, fFalse, fVar, fDia, fBox, fNot:
-		return f.String()
-	default:
-		return "(" + f.String() + ")"
+// printed prints a composite formula or action formula in one walk into
+// one builder, so printing is linear in the length of the text rather
+// than copying every operand's text once per level above it. Operands
+// of the state operators are parenthesized unless atomic or prefix.
+func printed(f fmt.Stringer) string {
+	var b strings.Builder
+	var write func(f fmt.Stringer, operand bool)
+	write = func(f fmt.Stringer, operand bool) {
+		switch f.(type) {
+		case fAnd, fOr, fMu, fNu:
+			if operand {
+				b.WriteByte('(')
+				defer b.WriteByte(')')
+			}
+		}
+		switch f := f.(type) {
+		case fNot:
+			b.WriteString("not ")
+			write(f.f, true)
+		case fAnd:
+			write(f.a, true)
+			b.WriteString(" and ")
+			write(f.b, true)
+		case fOr:
+			write(f.a, true)
+			b.WriteString(" or ")
+			write(f.b, true)
+		case fDia:
+			b.WriteByte('<')
+			write(f.act, false)
+			b.WriteString("> ")
+			write(f.f, true)
+		case fBox:
+			b.WriteByte('[')
+			write(f.act, false)
+			b.WriteString("] ")
+			write(f.f, true)
+		case fMu:
+			b.WriteString("mu " + f.name + " . ")
+			write(f.body, false)
+		case fNu:
+			b.WriteString("nu " + f.name + " . ")
+			write(f.body, false)
+		case afNot:
+			b.WriteByte('~')
+			write(f.a, false)
+		case afAnd:
+			b.WriteByte('(')
+			write(f.a, false)
+			b.WriteString(" & ")
+			write(f.b, false)
+			b.WriteByte(')')
+		case afOr:
+			b.WriteByte('(')
+			write(f.a, false)
+			b.WriteString(" | ")
+			write(f.b, false)
+			b.WriteByte(')')
+		default:
+			b.WriteString(f.String())
+		}
 	}
+	write(f, false)
+	return b.String()
 }
 
 // True is the formula satisfied by every state.

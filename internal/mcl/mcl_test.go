@@ -1,6 +1,7 @@
 package mcl
 
 import (
+	"runtime"
 	"runtime/debug"
 	"strings"
 	"testing"
@@ -392,5 +393,30 @@ func TestParseNestingBound(t *testing.T) {
 	defer debug.SetMaxStack(debug.SetMaxStack(64 << 20))
 	if _, err := ParseQuery(strings.Repeat("not ", 400_000) + "true"); err == nil {
 		t.Error("400,000 nested negations parsed")
+	}
+}
+
+// TestPrintLinear: printing a formula MaxNesting levels high allocates
+// at most a small constant times the printed length; a printer that
+// concatenates its operands' text copies everything below each level.
+func TestPrintLinear(t *testing.T) {
+	for _, src := range []string{
+		strings.Repeat("true and ", MaxNesting-1) + "true",
+		strings.Repeat("<a> ", MaxNesting-1) + "true",
+		strings.Repeat("a -> ", MaxNesting-2) + "true",
+		"<" + strings.Repeat("~", MaxNesting-2) + "a> true",
+		"[" + strings.Repeat("(a | ", MaxNesting/2-1) + "b" + strings.Repeat(")", MaxNesting/2-1) + "] false",
+	} {
+		f, err := Parse(src)
+		if err != nil {
+			t.Fatalf("%.20s...: %v", src, err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		out := f.String()
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(8*len(out)+4096) {
+			t.Errorf("%.20s...: printing %d bytes allocated %d bytes", src, len(out), alloc)
+		}
 	}
 }

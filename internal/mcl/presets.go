@@ -76,11 +76,6 @@ func Livelock() Formula {
 	return Reachable(Nu(varLoop, Dia(TauAction(), Var(varLoop))))
 }
 
-// AlwaysAfter is AG [act] f.
-func AlwaysAfter(act ActionFormula, f Formula) Formula {
-	return Invariant(Box(act, f))
-}
-
 // reachabilityWitness recognizes formulas built by Reachable /
 // ReachableAction and, when possible, produces a shortest label trace from
 // the initial state to a state satisfying the target subformula (for

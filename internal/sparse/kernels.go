@@ -6,25 +6,26 @@
 // returns the max-norm delta; the iteration loop — cancellation, progress,
 // normalization, convergence — stays with the caller.
 //
-// Two kernel families cover all four solvers:
+// Two kernel families cover the iterative solvers:
 //
 //   - Stationary sweeps update pi[j] = (sum_i pi[i]*rate(i->j)) / exit[j]
 //     over a compacted incoming submatrix (steady state within one BSCC).
 //   - Hitting sweeps update h[s] = (b[s] + sum_d rate(s->d)*h[d]) / diag[s]
-//     over the outgoing matrix with a skip mask (absorption probabilities
-//     with b=0, expected first-passage times with b=1, Poisson/bias
-//     equations with b=reward-gain).
+//     over the outgoing matrix with a skip mask (the fallback of a
+//     stalled BiCGSTAB block solve, and the bias equation of a chain with
+//     an absorbing boundary, b=reward-gain).
 //
-// Every kernel has a sequential Gauss–Seidel form (in-place, the default:
-// fewer sweeps to converge) and a parallel Jacobi form (cur/next vectors,
-// rows chunk-sharded across workers: each worker owns a contiguous row
-// range of next and only reads cur, so sweeps are race-free; every row is
-// computed the same way whatever the sharding, so the worker count never
-// changes the result). The Jacobi forms are damped with weight 1/2 — the
-// undamped sweep is a power iteration whose operator has unit-modulus
-// eigenvalues on periodic chains (a pure ring BSCC oscillates forever);
-// averaging with the current iterate maps every such eigenvalue except 1
-// strictly inside the unit disk without moving the fixed point.
+// The stationary kernel has a sequential Gauss–Seidel form (in-place,
+// the default: fewer sweeps to converge); both have a parallel Jacobi
+// form (cur/next vectors, rows chunk-sharded across workers: each worker
+// owns a contiguous row range of next and only reads cur, so sweeps are
+// race-free; every row is computed the same way whatever the sharding,
+// so the worker count never changes the result). The Jacobi forms are
+// damped with weight 1/2 — the undamped sweep is a power iteration whose
+// operator has unit-modulus eigenvalues on periodic chains (a pure ring
+// BSCC oscillates forever); averaging with the current iterate maps
+// every such eigenvalue except 1 strictly inside the unit disk without
+// moving the fixed point.
 package sparse
 
 import (
@@ -188,34 +189,11 @@ func StationarySweepJacobi(tin *Matrix, exit, cur, next []float64, workers int) 
 	})
 }
 
-// HittingSweepGS performs one in-place Gauss–Seidel sweep of the linear
+// HittingSweepJacobi performs one damped Jacobi sweep of the linear
 // system h[s] = (b[s] + sum_d rate(s->d)*h[d]) / diag[s] over the
-// outgoing matrix m, skipping rows with skip[s] (their h holds a boundary
-// value, e.g. 0 on first-passage targets or 1 inside the absorbing
-// component). Returns the max-norm delta.
-func HittingSweepGS(m *Matrix, skip []bool, b, diag, h []float64) float64 {
-	maxDelta := 0.0
-	for s := 0; s < m.n; s++ {
-		if skip[s] {
-			continue
-		}
-		sum := b[s]
-		lo, hi := m.rowOff[s], m.rowOff[s+1]
-		for p := lo; p < hi; p++ {
-			sum += m.val[p] * h[m.col[p]]
-		}
-		next := sum / diag[s]
-		if d := math.Abs(next - h[s]); d > maxDelta {
-			maxDelta = d
-		}
-		h[s] = next
-	}
-	return maxDelta
-}
-
-// HittingSweepJacobi is the parallel (damped) Jacobi form of
-// HittingSweepGS: next[s] is computed from cur only, rows chunk-sharded
-// across workers. Skipped rows copy through. Returns the max-norm delta.
+// outgoing matrix m: next[s] is computed from cur only, rows
+// chunk-sharded across workers. Rows with skip[s] hold a boundary value
+// and copy through. Returns the max-norm delta.
 func HittingSweepJacobi(m *Matrix, skip []bool, b, diag, cur, next []float64, workers int) float64 {
 	return rowChunks(m.n, workers, func(lo, hi int) float64 {
 		maxDelta := 0.0

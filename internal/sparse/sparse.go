@@ -9,8 +9,8 @@
 //
 // kernels.go adds the flat sweep kernels of the iterative solvers:
 // per-BSCC submatrix compaction, Gauss–Seidel and parallel damped-Jacobi
-// sweeps for the stationary and hitting equations, and the row-sharded
-// matrix-vector product behind parallel uniformization. The solvers in
+// sweeps for the stationary equations, damped-Jacobi sweeps for the
+// hitting equations, and the row-sharded matrix-vector product. The solvers in
 // internal/markov drive the iteration; the kernels own the inner loops.
 package sparse
 
@@ -129,17 +129,6 @@ func (m *Matrix) RowLen(i int) int { return int(m.rowOff[i+1] - m.rowOff[i]) }
 
 // RowSum returns the sum of row i (the exit rate of state i).
 func (m *Matrix) RowSum(i int) float64 { return m.rowSum[i] }
-
-// MaxRowSum returns the largest row sum (the uniformization constant base).
-func (m *Matrix) MaxRowSum() float64 {
-	max := 0.0
-	for _, r := range m.rowSum {
-		if r > max {
-			max = r
-		}
-	}
-	return max
-}
 
 // Transpose returns the transposed matrix (incoming adjacency). Tags are
 // carried through. The transpose is built by a direct counting-sort

@@ -137,7 +137,7 @@ func TestBottomSCCs(t *testing.T) {
 
 func TestEmptyMatrix(t *testing.T) {
 	m := New(3, nil, nil, nil, nil)
-	if m.NNZ() != 0 || m.MaxRowSum() != 0 {
+	if m.NNZ() != 0 || m.RowSum(0) != 0 || m.RowSum(2) != 0 {
 		t.Fatal("empty matrix not empty")
 	}
 	if got := m.BottomSCCs(); len(got) != 3 {

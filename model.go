@@ -15,10 +15,10 @@ import (
 type CompareResult = bisim.CompareResult
 
 // Engine is the entry point of the redesigned API: it owns the Options
-// (worker counts, state bounds, scheduler, solver tolerances, progress
-// observer) and threads them — together with the caller's
-// context.Context — through every operation. Construct one with
-// NewEngine; an Engine is immutable and safe for concurrent use.
+// (worker counts, state bounds, scheduler, progress observer) and
+// threads them — together with the caller's context.Context — through
+// every operation. Construct one with NewEngine; an Engine is immutable
+// and safe for concurrent use.
 //
 // Models and pipelines created through an Engine inherit its options, so
 // a service configures workers and bounds once instead of plumbing them

@@ -10,8 +10,8 @@
 //
 // The package is organized around three types:
 //
-//   - Engine owns the options (workers, state bounds, scheduler, solver
-//     tolerances, progress observer) and threads them — together with the
+//   - Engine owns the options (workers, state bounds, scheduler,
+//     progress observer) and threads them — together with the
 //     caller's context.Context — through every operation. Long-running
 //     operations check cancellation at round boundaries (worklist chunks,
 //     refinement rounds, solver sweeps) and report Progress snapshots.

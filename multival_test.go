@@ -233,11 +233,11 @@ func TestThroughputBoundsFacade(t *testing.T) {
 // TestEngineWith: a derived engine overrides options without mutating
 // (or aliasing) the base engine's.
 func TestEngineWith(t *testing.T) {
-	base := NewEngine(WithWorkers(2), WithMaxStates(100), WithTolerance(1e-6))
+	base := NewEngine(WithWorkers(2), WithMaxStates(100), WithScheduler(UniformScheduler{}))
 	derived := base.With(WithWorkers(8), WithProgress(func(Progress) {}))
 
-	if got := derived.Options(); got.Workers != 8 || got.MaxStates != 100 || got.Tolerance != 1e-6 || got.Progress == nil {
-		t.Fatalf("derived options = %+v; want workers 8 inheriting max-states/tolerance and a progress hook", got)
+	if got := derived.Options(); got.Workers != 8 || got.MaxStates != 100 || got.Scheduler != (UniformScheduler{}) || got.Progress == nil {
+		t.Fatalf("derived options = %+v; want workers 8 inheriting max-states/scheduler and a progress hook", got)
 	}
 	if got := base.Options(); got.Workers != 2 || got.Progress != nil {
 		t.Fatalf("base options mutated by With: %+v", got)

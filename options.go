@@ -28,9 +28,11 @@ type Progress = engine.Progress
 type ProgressFunc = engine.ProgressFunc
 
 // Options is the one tuning surface of the engine: worker counts,
-// state-space bounds, scheduler selection and solver tolerances, all
+// state-space bounds, scheduler selection and progress observation, all
 // threaded from here through bisim, compose, imc, process and markov.
-// Build one with NewEngine and the With* functional options.
+// Build one with NewEngine and the With* functional options. Solver
+// kernels, tolerances and iteration budgets are not options: markov
+// picks each system's kernel from its structure and fixes them.
 type Options struct {
 	// Workers is the goroutine count of the parallel engines: the
 	// signature-refinement rounds, the sharded product generation of
@@ -47,11 +49,6 @@ type Options struct {
 	// extraction; nil rejects nondeterministic models with
 	// ErrNondeterministic.
 	Scheduler Scheduler
-	// Tolerance is the convergence threshold of the iterative solvers
-	// (0 = 1e-12).
-	Tolerance float64
-	// MaxIterations bounds solver iteration counts (0 = 1_000_000).
-	MaxIterations int
 	// Progress, when non-nil, observes every long-running operation.
 	Progress ProgressFunc
 }
@@ -71,12 +68,6 @@ func WithMaxStates(n int) Option { return func(o *Options) { o.MaxStates = n } }
 // WithScheduler resolves internal nondeterminism during CTMC extraction.
 func WithScheduler(s Scheduler) Option { return func(o *Options) { o.Scheduler = s } }
 
-// WithTolerance sets the solver convergence threshold.
-func WithTolerance(tol float64) Option { return func(o *Options) { o.Tolerance = tol } }
-
-// WithMaxIterations bounds solver iteration counts.
-func WithMaxIterations(n int) Option { return func(o *Options) { o.MaxIterations = n } }
-
 // WithProgress installs a progress observer. The callback must be safe
 // for concurrent use: pipeline stages may report from several goroutines.
 func WithProgress(f ProgressFunc) Option { return func(o *Options) { o.Progress = f } }
@@ -95,9 +86,7 @@ func (o Options) gen() process.GenOptions {
 // per call by the facade methods.
 func (o Options) solve() markov.SolveOptions {
 	return markov.SolveOptions{
-		Tolerance:     o.Tolerance,
-		MaxIterations: o.MaxIterations,
-		Workers:       o.Workers,
-		Progress:      o.Progress,
+		Workers:  o.Workers,
+		Progress: o.Progress,
 	}
 }

@@ -7,6 +7,7 @@ package multival
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"multival/internal/lts"
+	"multival/internal/markov"
 )
 
 const twoBufferSpec = `
@@ -401,21 +403,16 @@ func TestTypedErrZeno(t *testing.T) {
 	}
 }
 
-// TestTypedErrNoConvergence: an absurd iteration budget wraps
-// ErrNoConvergence.
+// TestTypedErrNoConvergence: the solver's typed non-convergence error
+// (what an exhausted iteration budget returns) classifies as
+// ErrNoConvergence, as such and wrapped by a facade stage.
 func TestTypedErrNoConvergence(t *testing.T) {
-	l := lts.New("pair")
-	l.AddStates(2)
-	l.AddTransition(0, "fwd", 1)
-	l.AddTransition(1, "bwd", 0)
-	l.SetInitial(0)
-	eng := NewEngine(WithMaxIterations(1), WithTolerance(1e-15))
-	p, err := eng.FromLTS(l).DecorateRates(map[string]float64{"fwd": 1, "bwd": 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.SteadyState(ctxBg()); !errors.Is(err, ErrNoConvergence) {
+	var err error = &markov.ConvergenceError{Iterations: 1_000_000, Residual: 4.27, Method: "bicgstab", Fallback: "jacobi"}
+	if !errors.Is(err, ErrNoConvergence) {
 		t.Fatalf("err = %v, want ErrNoConvergence", err)
+	}
+	if wrapped := fmt.Errorf("steady state: %w", err); !errors.Is(wrapped, ErrNoConvergence) {
+		t.Fatalf("wrapped err = %v, want ErrNoConvergence", wrapped)
 	}
 }
 

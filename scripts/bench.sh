@@ -9,10 +9,15 @@
 # and process-calculus state-space generation (the 65,329-state
 # handshake router) with a benchstat-friendly repeat count, keep the raw
 # `go test` output for `benchstat old.txt new.txt` comparisons, and write
-# a compact BENCH_PR7.json summary so future PRs have a perf trajectory to diff
-# against. Run via `make bench-solver`; tune with COUNT/BENCH/OUT_*.
+# a compact JSON summary. Both go to the git-ignored .bench_build/ by
+# default (bench.txt, bench.json), so a sanity run leaves the tree
+# clean; a ledger entry for the perf trajectory is written on purpose:
 #
-#   scripts/bench.sh --compare BENCH_PR6.json
+#   OUT_TXT=BENCH_PR<n>.txt OUT_JSON=BENCH_PR<n>.json scripts/bench.sh
+#
+# Run via `make bench-solver`; tune with COUNT/BENCH/OUT_*.
+#
+#   scripts/bench.sh --compare BENCH_PR15.json
 #
 # additionally prints a per-benchmark delta table (mean vs mean) against
 # a previous summary after the run.
@@ -26,8 +31,9 @@ fi
 
 COUNT="${COUNT:-6}"
 BENCH="${BENCH:-SteadyStateLargeChain$|SteadyStateLargeChainClosures|AbsorptionMultiBSCC|TransientLargeChain|ThroughputBoundsPolicy|ServeSolve|ComposeSeq100k|ComposeParallel100k|SweepFameCold|SweepFameWarm|SweepFameNaive|StateSpaceGeneration}"
-OUT_TXT="${OUT_TXT:-BENCH_PR7.txt}"
-OUT_JSON="${OUT_JSON:-BENCH_PR7.json}"
+OUT_TXT="${OUT_TXT:-.bench_build/bench.txt}"
+OUT_JSON="${OUT_JSON:-.bench_build/bench.json}"
+mkdir -p "$(dirname "$OUT_TXT")" "$(dirname "$OUT_JSON")"
 
 echo "bench: running [$BENCH] x$COUNT"
 go test -run XXX -bench "$BENCH" -benchtime 1x -count "$COUNT" . ./internal/serve | tee "$OUT_TXT"
