@@ -14,7 +14,7 @@ vet:
 # Static analysis: the stock vet passes, then the repository contracts —
 # the five analyzers maporder, ctxloop, frozenmut, sentinelwrap and
 # faultpoint (checked against their golden fixtures, then run over every
-# package with its tests), the context and the dead-export rules — which
+# package with its tests), the context, dead-export and gofmt rules — which
 # are plain tests in internal/contracts and so also run under `make test`.
 # See README "Static analysis" for the contract catalog and the
 # lint:ignore grammar.

@@ -35,7 +35,7 @@ func BenchmarkE1XStreamIssues(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if mcl.MustCheck(leak, mcl.DeadlockFree()) {
+		if mcl.MustCheck(context.Background(), leak, mcl.DeadlockFree()) {
 			b.Fatal("credit leak not detected")
 		}
 		opt, err := xstream.FunctionalModel(xstream.Config{
@@ -44,7 +44,7 @@ func BenchmarkE1XStreamIssues(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if mcl.MustCheck(opt, mcl.NeverEnabled(mcl.Action("overflow"))) {
+		if mcl.MustCheck(context.Background(), opt, mcl.NeverEnabled(mcl.Action("overflow"))) {
 			b.Fatal("overflow not detected")
 		}
 	}
@@ -57,11 +57,11 @@ func BenchmarkE2FaustRouter(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !mcl.MustCheck(l, mcl.DeadlockFree()) {
+		if !mcl.MustCheck(context.Background(), l, mcl.DeadlockFree()) {
 			b.Fatal("router deadlocked")
 		}
 		for _, bad := range faust.MisroutedLabels(3) {
-			if !mcl.MustCheck(l, mcl.NeverEnabled(mcl.Action(bad))) {
+			if !mcl.MustCheck(context.Background(), l, mcl.NeverEnabled(mcl.Action(bad))) {
 				b.Fatal("misrouting")
 			}
 		}
@@ -258,17 +258,38 @@ func BenchmarkMinimizeBranching(b *testing.B) {
 	}
 }
 
+// BenchmarkModelCheckRouter checks the serve-level presets on the
+// 65,329-state handshake router (crossbar wires hidden, 392,361
+// transitions), one sub-benchmark per preset: deadlock freedom, a never
+// query, reachability, inevitability and response, the last with an
+// inevitability nested in an invariant.
 func BenchmarkModelCheckRouter(b *testing.B) {
-	l, err := faust.RouterLTS(context.Background(), faust.RouterConfig{Ports: 3}, chp.Options{}, 1<<20)
+	l, err := faust.RouterLTS(context.Background(), faust.RouterConfig{Ports: 3}, chp.Options{HandshakeExpand: true}, 1<<20)
 	if err != nil {
 		b.Fatal(err)
 	}
-	f := mcl.DeadlockFree()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !mcl.MustCheck(l, f) {
-			b.Fatal("deadlock")
+	if l.NumStates() != 65329 {
+		b.Fatalf("router: %d states, want 65329", l.NumStates())
+	}
+	for _, q := range []struct{ name, query string }{
+		{"deadlock", "deadlock"},
+		{"never", "never:out0_req !1"},
+		{"reachable", "reachable:out2_req !2"},
+		{"inevitable", "inevitable:in1_ack"},
+		{"response", "response:in0_req !2->out2_req !2"},
+	} {
+		f, err := mcl.ParseQuery(q.query)
+		if err != nil {
+			b.Fatal(err)
 		}
+		b.Run(q.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := mcl.Verify(context.Background(), l, f); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -73,10 +73,7 @@ func main() {
 	ctx, cancel := c.Context()
 	defer cancel()
 
-	// mcl.Verify takes no context; the watchdog gives -timeout teeth.
-	res, err := cli.Watchdog(ctx, func() (mcl.Result, error) {
-		return mcl.Verify(l, f)
-	})
+	res, err := mcl.Verify(ctx, l, f)
 	if err != nil {
 		c.Fatal(2, err)
 	}

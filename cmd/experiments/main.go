@@ -65,8 +65,8 @@ func main() {
 			continue
 		}
 		// The run budget (-timeout) is checked here and, inside every
-		// experiment but E1 and E4 (small models built by ctx-less
-		// generators), at each generation, refinement and extraction.
+		// experiment but E4 (small models built by ctx-less generators),
+		// at each generation, model check, refinement and extraction.
 		if err := ctx.Err(); err != nil {
 			fmt.Printf("ERROR: run budget exhausted before %s: %v\n", e.id, err)
 			failed++
@@ -85,7 +85,7 @@ func main() {
 }
 
 // E1: the two injected xSTream protocol issues are found by the flow.
-func e1(context.Context) error {
+func e1(ctx context.Context) error {
 	fmt.Println("variant          capacity states  deadlock-free  overflow-free  diagnosis")
 	for _, row := range []struct {
 		variant xstream.Variant
@@ -102,16 +102,22 @@ func e1(context.Context) error {
 			if err != nil {
 				return err
 			}
-			dlFree := mcl.MustCheck(l, mcl.DeadlockFree())
-			ovFree := mcl.MustCheck(l, mcl.NeverEnabled(mcl.Action("overflow")))
+			dlFree, err := mcl.Check(ctx, l, mcl.DeadlockFree())
+			if err != nil {
+				return err
+			}
+			ovFree, err := mcl.Check(ctx, l, mcl.NeverEnabled(mcl.Action("overflow")))
+			if err != nil {
+				return err
+			}
 			diag := "-"
 			if !dlFree {
-				res, err := mcl.Verify(l, mcl.Reachable(mcl.Not(mcl.Dia(mcl.AnyAction(), mcl.True()))))
+				res, err := mcl.Verify(ctx, l, mcl.Reachable(mcl.Not(mcl.Dia(mcl.AnyAction(), mcl.True()))))
 				if err == nil && len(res.Witness) > 0 {
 					diag = "deadlock after: " + strings.Join(res.Witness, ".")
 				}
 			} else if !ovFree {
-				res, err := mcl.Verify(l, mcl.ReachableAction(mcl.Action("overflow")))
+				res, err := mcl.Verify(ctx, l, mcl.ReachableAction(mcl.Action("overflow")))
 				if err == nil && len(res.Witness) > 0 {
 					diag = "overflow after: " + strings.Join(res.Witness, ".")
 				}
@@ -142,12 +148,17 @@ func e2(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		dl := mcl.MustCheck(l, mcl.DeadlockFree())
+		dl, err := mcl.Check(ctx, l, mcl.DeadlockFree())
+		if err != nil {
+			return err
+		}
 		mis := true
 		for _, bad := range faust.MisroutedLabels(cfg.ports) {
-			if !mcl.MustCheck(l, mcl.NeverEnabled(mcl.Action(bad))) {
-				mis = false
+			never, err := mcl.Check(ctx, l, mcl.NeverEnabled(mcl.Action(bad)))
+			if err != nil {
+				return err
 			}
+			mis = mis && never
 		}
 		ni := len(cfg.inputs)
 		if ni == 0 {
@@ -176,7 +187,10 @@ func e3(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		dead := mcl.MustCheck(impl, mcl.Reachable(mcl.Not(mcl.Dia(mcl.AnyAction(), mcl.True()))))
+		dead, err := mcl.Check(ctx, impl, mcl.Reachable(mcl.Not(mcl.Dia(mcl.AnyAction(), mcl.True()))))
+		if err != nil {
+			return err
+		}
 		verdict := "CORRECT"
 		if !eq {
 			verdict = "REJECTED"

@@ -30,11 +30,11 @@ func main() {
 	fmt.Printf("router (%d ports): %d states, %d transitions\n",
 		cfg.Ports, l.NumStates(), l.NumTransitions())
 
-	fmt.Printf("deadlock free:  %v\n", mcl.MustCheck(l, mcl.DeadlockFree()))
+	fmt.Printf("deadlock free:  %v\n", mcl.MustCheck(ctx, l, mcl.DeadlockFree()))
 
 	misroutes := 0
 	for _, bad := range faust.MisroutedLabels(cfg.Ports) {
-		if !mcl.MustCheck(l, mcl.NeverEnabled(mcl.Action(bad))) {
+		if !mcl.MustCheck(ctx, l, mcl.NeverEnabled(mcl.Action(bad))) {
 			misroutes++
 		}
 	}
@@ -47,7 +47,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ok := mcl.MustCheck(single, mcl.Response(mcl.Action("in0 !2"), mcl.Action("out2 !2")))
+	ok := mcl.MustCheck(ctx, single, mcl.Response(mcl.Action("in0 !2"), mcl.Action("out2 !2")))
 	fmt.Printf("delivery guaranteed (in0 -> out2): %v\n", ok)
 
 	// ---- Isochronous fork ----

@@ -33,16 +33,16 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		deadlockFree := mcl.MustCheck(l, mcl.DeadlockFree())
-		overflowFree := mcl.MustCheck(l, mcl.NeverEnabled(mcl.Action("overflow")))
+		deadlockFree := mcl.MustCheck(ctx, l, mcl.DeadlockFree())
+		overflowFree := mcl.MustCheck(ctx, l, mcl.NeverEnabled(mcl.Action("overflow")))
 		fmt.Printf("  %-16s %5d states  deadlock-free=%-5v overflow-free=%v\n",
 			v.variant, l.NumStates(), deadlockFree, overflowFree)
 		if !deadlockFree {
-			res, _ := mcl.Verify(l, mcl.Reachable(mcl.Not(mcl.Dia(mcl.AnyAction(), mcl.True()))))
+			res, _ := mcl.Verify(ctx, l, mcl.Reachable(mcl.Not(mcl.Dia(mcl.AnyAction(), mcl.True()))))
 			fmt.Printf("    -> deadlock witness: %s\n", strings.Join(res.Witness, " . "))
 		}
 		if !overflowFree {
-			res, _ := mcl.Verify(l, mcl.ReachableAction(mcl.Action("overflow")))
+			res, _ := mcl.Verify(ctx, l, mcl.ReachableAction(mcl.Action("overflow")))
 			fmt.Printf("    -> overflow witness: %s\n", strings.Join(res.Witness, " . "))
 		}
 	}

@@ -60,10 +60,10 @@ func TestFullVerificationPipeline(t *testing.T) {
 	if q.NumStates() > l.NumStates() {
 		t.Fatal("minimization grew")
 	}
-	if !mcl.MustCheck(q, mcl.DeadlockFree()) {
+	if !mcl.MustCheck(context.Background(), q, mcl.DeadlockFree()) {
 		t.Fatal("protocol deadlocked")
 	}
-	if !mcl.MustCheck(q, mcl.Response(mcl.Action("work"), mcl.Action("work"))) {
+	if !mcl.MustCheck(context.Background(), q, mcl.Response(mcl.Action("work"), mcl.Action("work"))) {
 		t.Fatal("work does not recur")
 	}
 }
@@ -205,11 +205,11 @@ func TestRouterCompositionalVerification(t *testing.T) {
 		t.Fatal(err)
 	}
 	monoMin, _ := minimize(mono, bisim.Branching)
-	if !mcl.MustCheck(monoMin, mcl.DeadlockFree()) {
+	if !mcl.MustCheck(context.Background(), monoMin, mcl.DeadlockFree()) {
 		t.Fatal("router deadlocked after minimization")
 	}
 	// Verifying the quotient is equivalent to verifying the original.
-	if mcl.MustCheck(mono, mcl.DeadlockFree()) != mcl.MustCheck(monoMin, mcl.DeadlockFree()) {
+	if mcl.MustCheck(context.Background(), mono, mcl.DeadlockFree()) != mcl.MustCheck(context.Background(), monoMin, mcl.DeadlockFree()) {
 		t.Fatal("minimization changed the verdict")
 	}
 }
@@ -257,11 +257,15 @@ func TestSmartReduceOnCaseStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mcl.MustCheck(smart, mcl.DeadlockFree()) {
+	if !mcl.MustCheck(context.Background(), smart, mcl.DeadlockFree()) {
 		t.Fatal("pipeline deadlocked after smart reduction")
 	}
 	// FIFO liveness on the reduced system.
-	if !mcl.MustCheck(smart, mcl.ReachableAction(mcl.MustActionRegex(`s4 !.*`))) {
+	s4, err := mcl.ActionRegex(`s4 !.*`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !mcl.MustCheck(context.Background(), smart, mcl.ReachableAction(s4)) {
 		t.Fatal("output unreachable after reduction")
 	}
 }

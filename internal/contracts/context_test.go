@@ -14,13 +14,15 @@ import (
 // Every other long-running library step receives the caller's ctx, so a
 // deadline or cancel reaches it.
 var backgroundAllowed = map[string]string{
-	"serve.(*Server).storeModel":   "publishes an already-built artifact",
-	"serve.(*Server).famComponent": "publishes an already-built artifact",
-	"serve.(*Queue).Close":         "drains the queue on shutdown",
-	"faust.ForkSpec":               "mvbench pins the signature; at most 4 values keeps the model tiny",
-	"faust.ForkImpl":               "mvbench pins the signature; at most 4 values keeps the model tiny",
-	"sweep.chpFamily":              "sweep.Component.Build takes no context: mvbench pins its signature",
-	"sweep.lotosFamily":            "sweep.Component.Build takes no context: mvbench pins its signature",
+	"serve.(*Server).storeModel":          "publishes an already-built artifact",
+	"serve.(*Server).famComponent":        "publishes an already-built artifact",
+	"serve.(*Queue).Close":                "drains the queue on shutdown",
+	"faust.ForkSpec":                      "mvbench pins the signature; at most 4 values keeps the model tiny",
+	"faust.ForkImpl":                      "mvbench pins the signature; at most 4 values keeps the model tiny",
+	"multival.(*Model).Check":             "mvbench pins the signature",
+	"multival.(*Model).CheckDeadlockFree": "mvbench pins the signature",
+	"sweep.chpFamily":                     "sweep.Component.Build takes no context: mvbench pins its signature",
+	"sweep.lotosFamily":                   "sweep.Component.Build takes no context: mvbench pins its signature",
 }
 
 // TestNoBackgroundContextInLibraries scans the library sources (the root

@@ -22,10 +22,6 @@ var deadExportAllowed = map[string]bool{
 	"lotos.MustParse":            true,
 	"lts.Isomorphic":             true,
 	"lts.Random":                 true,
-	"mcl.MustActionRegex":        true,
-	"mcl.MustParse":              true,
-	"mcl.VisibleAction":          true,
-	"mcl.WeakDia":                true,
 	"obs.ExpBuckets":             true,
 	"phasetype.HyperExp":         true,
 	"phasetype.Hypo":             true,

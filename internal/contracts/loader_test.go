@@ -2,7 +2,7 @@
 // plain tests: five analyzers (maporder, ctxloop, frozenmut,
 // sentinelwrap, faultpoint) checked against golden fixtures under
 // testdata/src and then run over every package of the module, plus the
-// context and dead-export contracts. Everything is parsed and
+// context, dead-export and formatting contracts. Everything is parsed and
 // type-checked from source with the standard library alone.
 package contracts
 

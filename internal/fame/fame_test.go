@@ -94,10 +94,10 @@ func TestCoherenceInvariantHolds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !mcl.MustCheck(l, mcl.NeverEnabled(mcl.Action("violation"))) {
+			if !mcl.MustCheck(context.Background(), l, mcl.NeverEnabled(mcl.Action("violation"))) {
 				t.Errorf("%s/%d: coherence invariant violated", p, nodes)
 			}
-			if !mcl.MustCheck(l, mcl.DeadlockFree()) {
+			if !mcl.MustCheck(context.Background(), l, mcl.DeadlockFree()) {
 				t.Errorf("%s/%d: protocol deadlocked", p, nodes)
 			}
 		}
@@ -116,12 +116,12 @@ func TestMESIObservablyDifferentFromMSI(t *testing.T) {
 	// The silent upgrade "write !n !0" directly after a cold read is a
 	// MESI-only observation: in MSI a write after a read always pays an
 	// upgrade transaction (it would be "write !n !2").
-	free := mcl.Dia(mcl.MustActionRegex(`write !1 !0`), mcl.True())
-	afterColdRead := mcl.Dia(mcl.MustActionRegex(`read !1 !2`), free)
-	if !mcl.MustCheck(mesi, afterColdRead) {
+	free := mcl.Dia(mcl.Action("write !1 !0"), mcl.True())
+	afterColdRead := mcl.Dia(mcl.Action("read !1 !2"), free)
+	if !mcl.MustCheck(context.Background(), mesi, afterColdRead) {
 		t.Error("MESI: cold read then free write should be possible")
 	}
-	if mcl.MustCheck(msi, afterColdRead) {
+	if mcl.MustCheck(context.Background(), msi, afterColdRead) {
 		t.Error("MSI: write directly after cold read cannot be free")
 	}
 	_ = msi
@@ -331,18 +331,18 @@ func TestMPIFunctionalModel(t *testing.T) {
 		t.Fatal("empty MPI model")
 	}
 	// The protocol never wedges.
-	if !mcl.MustCheck(l, mcl.DeadlockFree()) {
+	if !mcl.MustCheck(context.Background(), l, mcl.DeadlockFree()) {
 		t.Fatal("MPI flag protocol deadlocked")
 	}
 	// Both payloads flow end to end.
 	for _, lab := range []string{"recv !0", "recv !1"} {
-		if !mcl.MustCheck(l, mcl.ReachableAction(mcl.Action(lab))) {
+		if !mcl.MustCheck(context.Background(), l, mcl.ReachableAction(mcl.Action(lab))) {
 			t.Errorf("%s unreachable", lab)
 		}
 	}
 	// Polling is a real livelock (the receiver may spin on a clear
 	// flag): the functional model honestly exposes it.
-	if !mcl.MustCheck(l, mcl.Livelock()) {
+	if !mcl.MustCheck(context.Background(), l, mcl.Livelock()) {
 		t.Error("expected a polling livelock in the flag protocol")
 	}
 	// Safety: no recv before the first send, and after send !v the next
@@ -397,7 +397,7 @@ func TestBuggyCoherenceCaught(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := mcl.Verify(l, mcl.ReachableAction(mcl.Action("violation")))
+		res, err := mcl.Verify(context.Background(), l, mcl.ReachableAction(mcl.Action("violation")))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -413,7 +413,7 @@ func TestBuggyCoherenceCaught(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mcl.MustCheck(good, mcl.NeverEnabled(mcl.Action("violation"))) {
+	if !mcl.MustCheck(context.Background(), good, mcl.NeverEnabled(mcl.Action("violation"))) {
 		t.Fatal("correct protocol reported a violation")
 	}
 }

@@ -19,7 +19,7 @@ func TestRouterDeadlockFree(t *testing.T) {
 	if l.NumStates() == 0 {
 		t.Fatal("empty router LTS")
 	}
-	if !mcl.MustCheck(l, mcl.DeadlockFree()) {
+	if !mcl.MustCheck(context.Background(), l, mcl.DeadlockFree()) {
 		t.Fatal("router deadlocked")
 	}
 }
@@ -43,14 +43,14 @@ func TestRouterNeverMisroutes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bad := range MisroutedLabels(cfg.Ports) {
-		if !mcl.MustCheck(l, mcl.NeverEnabled(mcl.Action(bad))) {
+		if !mcl.MustCheck(context.Background(), l, mcl.NeverEnabled(mcl.Action(bad))) {
 			t.Errorf("misrouted packet possible: %s", bad)
 		}
 	}
 	// Sanity: correctly routed packets do occur.
 	for o := 0; o < cfg.Ports; o++ {
 		lab := routeLabel(o)
-		if !mcl.MustCheck(l, mcl.ReachableAction(mcl.Action(lab))) {
+		if !mcl.MustCheck(context.Background(), l, mcl.ReachableAction(mcl.Action(lab))) {
 			t.Errorf("no packet ever delivered at %s", lab)
 		}
 	}
@@ -70,7 +70,7 @@ func TestRouterDeliveryResponse(t *testing.T) {
 	for o := 0; o < 3; o++ {
 		in := "in0 !" + string(rune('0'+o))
 		out := routeLabel(o)
-		if !mcl.MustCheck(l, mcl.Response(mcl.Action(in), mcl.Action(out))) {
+		if !mcl.MustCheck(context.Background(), l, mcl.Response(mcl.Action(in), mcl.Action(out))) {
 			t.Errorf("packet %s not inevitably delivered at %s", in, out)
 		}
 	}
@@ -83,11 +83,11 @@ func TestRouterContentionStillSafe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mcl.MustCheck(l, mcl.DeadlockFree()) {
+	if !mcl.MustCheck(context.Background(), l, mcl.DeadlockFree()) {
 		t.Fatal("contended router deadlocked")
 	}
 	for _, bad := range MisroutedLabels(cfg.Ports) {
-		if !mcl.MustCheck(l, mcl.NeverEnabled(mcl.Action(bad))) {
+		if !mcl.MustCheck(context.Background(), l, mcl.NeverEnabled(mcl.Action(bad))) {
 			t.Errorf("misrouted under contention: %s", bad)
 		}
 	}
@@ -108,7 +108,7 @@ func TestRouterHandshakeExpansion(t *testing.T) {
 		t.Errorf("handshake expansion did not grow the LTS: %d <= %d",
 			hs.NumStates(), plain.NumStates())
 	}
-	if !mcl.MustCheck(hs, mcl.DeadlockFree()) {
+	if !mcl.MustCheck(context.Background(), hs, mcl.DeadlockFree()) {
 		t.Fatal("handshake router deadlocked")
 	}
 }
@@ -130,11 +130,11 @@ func TestForkSpecShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mcl.MustCheck(spec, mcl.DeadlockFree()) {
+	if !mcl.MustCheck(context.Background(), spec, mcl.DeadlockFree()) {
 		t.Fatal("fork spec deadlocked")
 	}
 	// Both deliveries of round 0 happen before any delivery of round 1.
-	if !mcl.MustCheck(spec, mcl.Response(mcl.Action("b !0"), mcl.Action("c !0"))) {
+	if !mcl.MustCheck(context.Background(), spec, mcl.Response(mcl.Action("b !0"), mcl.Action("c !0"))) {
 		t.Fatal("spec: b!0 not inevitably followed by c!0 (within the round)")
 	}
 }
@@ -181,7 +181,7 @@ func TestForkUnsafeBroken(t *testing.T) {
 		t.Fatal("unsafe fork must NOT be equivalent to the spec")
 	}
 	// The failure is a wedged protocol: a deadlock is reachable.
-	if !mcl.MustCheck(impl, mcl.Reachable(mcl.Not(mcl.Dia(mcl.AnyAction(), mcl.True())))) {
+	if !mcl.MustCheck(context.Background(), impl, mcl.Reachable(mcl.Not(mcl.Dia(mcl.AnyAction(), mcl.True())))) {
 		t.Fatal("unsafe fork has no reachable deadlock?")
 	}
 	// And trace inequivalence provides a diagnostic counterexample.

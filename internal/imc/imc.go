@@ -325,4 +325,3 @@ func (m *IMC) ReplaceLabelByRateWithMarker(label string, rate float64, marker st
 	}
 	return out, nil
 }
-

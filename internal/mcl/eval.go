@@ -1,6 +1,7 @@
 package mcl
 
 import (
+	"context"
 	"fmt"
 
 	"multival/internal/lts"
@@ -20,29 +21,22 @@ func (s StateSet) Count() int {
 	return n
 }
 
-func (s StateSet) equal(t StateSet) bool {
-	for i := range s {
-		if s[i] != t[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Sat computes the set of states of l satisfying f. It returns an error if
 // f is not well-formed: free variables, or a fixpoint variable under an odd
-// number of negations (which would break monotonicity).
-func Sat(l *lts.LTS, f Formula) (StateSet, error) {
-	if err := checkWellFormed(f, map[string]bool{}, true); err != nil {
+// number of negations (which would break monotonicity). It observes ctx
+// throughout the fixpoint computation and returns ctx's error once it is
+// done.
+func Sat(ctx context.Context, l *lts.LTS, f Formula) (StateSet, error) {
+	e, err := evaluate(ctx, l, f)
+	if err != nil {
 		return nil, err
 	}
-	env := map[string]StateSet{}
-	return eval(l, f, env), nil
+	return e.vals[0], nil
 }
 
 // Check reports whether the initial state of l satisfies f.
-func Check(l *lts.LTS, f Formula) (bool, error) {
-	set, err := Sat(l, f)
+func Check(ctx context.Context, l *lts.LTS, f Formula) (bool, error) {
+	set, err := Sat(ctx, l, f)
 	if err != nil {
 		return false, err
 	}
@@ -52,165 +46,14 @@ func Check(l *lts.LTS, f Formula) (bool, error) {
 	return set[l.Initial()], nil
 }
 
-// MustCheck is Check that panics on error; for statically known formulas.
-func MustCheck(l *lts.LTS, f Formula) bool {
-	ok, err := Check(l, f)
+// MustCheck is Check that panics on error, a cancelled ctx included; for
+// statically known formulas.
+func MustCheck(ctx context.Context, l *lts.LTS, f Formula) bool {
+	ok, err := Check(ctx, l, f)
 	if err != nil {
 		panic(err)
 	}
 	return ok
-}
-
-// checkWellFormed verifies that every variable is bound and occurs
-// positively *relative to its binder*: the negation parity at each
-// occurrence must equal the parity at the binding fixpoint (this is the
-// monotonicity condition; a whole closed fixpoint under `not` is fine).
-// The bound map records the parity at each variable's binding point.
-func checkWellFormed(f Formula, bound map[string]bool, positive bool) error {
-	switch g := f.(type) {
-	case fTrue, fFalse:
-		return nil
-	case fNot:
-		return checkWellFormed(g.f, bound, !positive)
-	case fAnd:
-		if err := checkWellFormed(g.a, bound, positive); err != nil {
-			return err
-		}
-		return checkWellFormed(g.b, bound, positive)
-	case fOr:
-		if err := checkWellFormed(g.a, bound, positive); err != nil {
-			return err
-		}
-		return checkWellFormed(g.b, bound, positive)
-	case fDia:
-		return checkWellFormed(g.f, bound, positive)
-	case fBox:
-		return checkWellFormed(g.f, bound, positive)
-	case fVar:
-		binderParity, ok := bound[g.name]
-		if !ok {
-			return fmt.Errorf("mcl: free variable %s", g.name)
-		}
-		if positive != binderParity {
-			return fmt.Errorf("mcl: variable %s occurs negatively (relative to its binder)", g.name)
-		}
-		return nil
-	case fMu:
-		return checkFixpoint(g.name, g.body, bound, positive)
-	case fNu:
-		return checkFixpoint(g.name, g.body, bound, positive)
-	default:
-		return fmt.Errorf("mcl: unknown formula %T", f)
-	}
-}
-
-func checkFixpoint(name string, body Formula, bound map[string]bool, positive bool) error {
-	prev, had := bound[name]
-	bound[name] = positive // record the parity at the binding point
-	err := checkWellFormed(body, bound, positive)
-	if had {
-		bound[name] = prev
-	} else {
-		delete(bound, name)
-	}
-	return err
-}
-
-// eval computes the denotation of f under the environment env. Negation of
-// subformulas containing fixpoint variables is rejected by checkWellFormed,
-// so complementation here is sound.
-func eval(l *lts.LTS, f Formula, env map[string]StateSet) StateSet {
-	n := l.NumStates()
-	switch g := f.(type) {
-	case fTrue:
-		set := make(StateSet, n)
-		for i := range set {
-			set[i] = true
-		}
-		return set
-	case fFalse:
-		return make(StateSet, n)
-	case fNot:
-		sub := eval(l, g.f, env)
-		out := make(StateSet, n)
-		for i := range out {
-			out[i] = !sub[i]
-		}
-		return out
-	case fAnd:
-		a := eval(l, g.a, env)
-		b := eval(l, g.b, env)
-		out := make(StateSet, n)
-		for i := range out {
-			out[i] = a[i] && b[i]
-		}
-		return out
-	case fOr:
-		a := eval(l, g.a, env)
-		b := eval(l, g.b, env)
-		out := make(StateSet, n)
-		for i := range out {
-			out[i] = a[i] || b[i]
-		}
-		return out
-	case fDia:
-		sub := eval(l, g.f, env)
-		out := make(StateSet, n)
-		l.EachTransition(func(t lts.Transition) {
-			if !out[t.Src] && sub[t.Dst] && g.act.Matches(l.LabelName(t.Label)) {
-				out[t.Src] = true
-			}
-		})
-		return out
-	case fBox:
-		sub := eval(l, g.f, env)
-		out := make(StateSet, n)
-		for i := range out {
-			out[i] = true
-		}
-		l.EachTransition(func(t lts.Transition) {
-			if out[t.Src] && !sub[t.Dst] && g.act.Matches(l.LabelName(t.Label)) {
-				out[t.Src] = false
-			}
-		})
-		return out
-	case fVar:
-		set, ok := env[g.name]
-		if !ok {
-			panic("mcl: unbound variable " + g.name) // prevented by checkWellFormed
-		}
-		return set
-	case fMu:
-		cur := make(StateSet, n) // start from bottom
-		return fixpoint(l, g.name, g.body, env, cur)
-	case fNu:
-		cur := make(StateSet, n) // start from top
-		for i := range cur {
-			cur[i] = true
-		}
-		return fixpoint(l, g.name, g.body, env, cur)
-	default:
-		panic(fmt.Sprintf("mcl: unknown formula %T", f))
-	}
-}
-
-func fixpoint(l *lts.LTS, name string, body Formula, env map[string]StateSet, cur StateSet) StateSet {
-	saved, had := env[name]
-	defer func() {
-		if had {
-			env[name] = saved
-		} else {
-			delete(env, name)
-		}
-	}()
-	for {
-		env[name] = cur
-		next := eval(l, body, env)
-		if next.equal(cur) {
-			return next
-		}
-		cur = next
-	}
 }
 
 // Result bundles the outcome of a verification run for reporting.
@@ -225,11 +68,12 @@ type Result struct {
 // Verify evaluates f on l and assembles a Result. If f is (syntactically) a
 // reachability property built by Reachable or ReachableAction, a shortest
 // witness trace is attached when the property holds.
-func Verify(l *lts.LTS, f Formula) (Result, error) {
-	set, err := Sat(l, f)
+func Verify(ctx context.Context, l *lts.LTS, f Formula) (Result, error) {
+	e, err := evaluate(ctx, l, f)
 	if err != nil {
 		return Result{}, err
 	}
+	set := e.vals[0]
 	res := Result{
 		Formula:   f.String(),
 		Holds:     l.NumStates() > 0 && set[l.Initial()],
@@ -237,9 +81,346 @@ func Verify(l *lts.LTS, f Formula) (Result, error) {
 		NumStates: l.NumStates(),
 	}
 	if res.Holds {
-		if w, ok := reachabilityWitness(l, f); ok {
+		if w, ok := reachabilityWitness(l, f, e); ok {
 			res.Witness = w
 		}
 	}
 	return res, nil
+}
+
+// evaluation is one formula evaluated on one LTS: the value of every
+// compiled node over the states, with the solver's scratch.
+//
+// Every closed subformula is evaluated once, bottom-up. Each fixpoint
+// block is solved with a counter worklist over (node, state) pairs, in
+// the direction of its sign: a least fixpoint starts every member false
+// and makes members true, a greatest one starts them true and makes them
+// false (the dual). A node "fires" when it takes the block's target
+// value v. An "any" node fires on its first operand at v: or and ⟨a⟩ in a
+// least block, and and [a] in a greatest one, and every fixpoint node. An
+// "all" node counts its operands down and fires at zero; a modality's
+// count starts at the state's a-out-degree. A firing at state s notifies
+// the node's readers at s, or at the a-predecessors of s for a modality,
+// so each transition is visited a bounded number of times per modality:
+// time linear in |formula| × (states + transitions) for an
+// alternation-free formula (Cleaveland & Steffen 1993).
+//
+// A child block (an alternation) is re-solved from its bottom each round
+// its parent moves, and its newly fired roots feed the parent's worklist,
+// which is never restarted.
+type evaluation struct {
+	ctx  context.Context
+	l    *lts.LTS
+	p    *program
+	vals []StateSet
+	cnt  [][]int32  // per "all" member: operands still short of v, per state
+	prev []StateSet // per child-block root: the value its parent has read
+	work []fired
+	seen []bool // scratch: the states an "any" modality fires at
+	v    bool   // target value of the block being solved
+	cur  int32  // block being solved
+	pops int
+}
+
+type fired struct{ node, state int32 }
+
+func evaluate(ctx context.Context, l *lts.LTS, f Formula) (*evaluation, error) {
+	p, err := compile(l, f)
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	n := l.NumStates()
+	e := &evaluation{ctx: ctx, l: l, p: p,
+		vals: make([]StateSet, len(p.nodes)),
+		cnt:  make([][]int32, len(p.nodes)),
+		prev: make([]StateSet, len(p.nodes)),
+	}
+	for i := range e.vals {
+		e.vals[i] = make(StateSet, n)
+	}
+	for bi := range p.blocks {
+		b := &p.blocks[bi]
+		for _, m := range b.members {
+			if all(p.nodes[m].op, b.nu) {
+				e.cnt[m] = make([]int32, n)
+			}
+		}
+		if b.parent >= 0 {
+			e.prev[b.root] = make(StateSet, n)
+		}
+	}
+	for i := int32(len(p.nodes)) - 1; i >= 0; i-- { // operands first
+		switch b := p.block[i]; {
+		case b < 0:
+			e.constant(i)
+		case p.blocks[b].root == i && p.blocks[b].parent < 0:
+			if err := e.solve(b); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return e, nil
+}
+
+// all reports whether an operator waits for all its operands to reach a
+// block's target value (and, [a] under mu; or, <a> under nu).
+func all(o op, nu bool) bool {
+	switch o {
+	case opAnd, opBox:
+		return !nu
+	case opOr, opDia:
+		return nu
+	}
+	return false
+}
+
+// constant evaluates a node outside every fixpoint recursion from its
+// operands' values.
+func (e *evaluation) constant(i int32) {
+	nd, out := &e.p.nodes[i], e.vals[i]
+	switch nd.op {
+	case opTrue:
+		for s := range out {
+			out[s] = true
+		}
+	case opAnd:
+		a, b := e.vals[nd.a], e.vals[nd.b]
+		for s := range out {
+			out[s] = a[s] && b[s]
+		}
+	case opOr:
+		a, b := e.vals[nd.a], e.vals[nd.b]
+		for s := range out {
+			out[s] = a[s] || b[s]
+		}
+	case opDia:
+		mask, a := e.p.masks[nd.act], e.vals[nd.a]
+		e.l.EachTransition(func(t lts.Transition) {
+			if mask[t.Label] && a[t.Dst] {
+				out[t.Src] = true
+			}
+		})
+	case opBox:
+		for s := range out {
+			out[s] = true
+		}
+		mask, a := e.p.masks[nd.act], e.vals[nd.a]
+		e.l.EachTransition(func(t lts.Transition) {
+			if mask[t.Label] && !a[t.Dst] {
+				out[t.Src] = false
+			}
+		})
+	}
+}
+
+// solve solves root block b and the blocks nested in it. Each frame runs
+// rounds: solve the child blocks against the block's current values,
+// then advance the block's worklist with what they changed. A block is
+// done when a round fires nothing, since its children would then not
+// change either.
+func (e *evaluation) solve(b int32) error {
+	type frame struct {
+		b    int32
+		next int // next child block to solve this round
+	}
+	e.begin(b)
+	stack := []frame{{b: b}}
+	for len(stack) > 0 {
+		if err := e.ctx.Err(); err != nil {
+			return err
+		}
+		top := &stack[len(stack)-1]
+		blk := &e.p.blocks[top.b]
+		if top.next < len(blk.children) {
+			c := blk.children[top.next]
+			top.next++
+			e.begin(c)
+			stack = append(stack, frame{b: c})
+			continue
+		}
+		n, err := e.round(top.b)
+		if err != nil {
+			return err
+		}
+		if n > 0 && len(blk.children) > 0 {
+			blk.round++
+			top.next = 0
+			continue
+		}
+		stack = stack[:len(stack)-1]
+	}
+	return nil
+}
+
+// begin starts a solve of block b from the block's bottom: every member
+// at the opposite of the target value.
+func (e *evaluation) begin(b int32) {
+	blk := &e.p.blocks[b]
+	blk.round = 1
+	for _, m := range blk.members {
+		fill(e.vals[m], blk.nu)
+	}
+}
+
+func fill(s StateSet, v bool) {
+	for i := range s {
+		s[i] = v
+	}
+}
+
+// round advances block b by one round and returns how many (node, state)
+// pairs fired. The first round of a solve sets every member's count from
+// its operands' current values; later rounds feed the states where a
+// child block's root newly reached the target value.
+func (e *evaluation) round(b int32) (int, error) {
+	blk := &e.p.blocks[b]
+	e.v, e.cur = !blk.nu, b
+	n := 0
+	if blk.round == 1 {
+		for _, m := range blk.members {
+			if err := e.ctx.Err(); err != nil {
+				return 0, err
+			}
+			e.count(m)
+		}
+		for _, w := range e.work { // fire only after every count is taken
+			e.vals[w.node][w.state] = e.v
+		}
+		n = len(e.work)
+		for _, c := range blk.children {
+			r := e.p.blocks[c].root
+			copy(e.prev[r], e.vals[r])
+		}
+	} else {
+		for _, c := range blk.children {
+			r := e.p.blocks[c].root
+			now, was := e.vals[r], e.prev[r]
+			for s := range now {
+				if now[s] == e.v && was[s] != e.v {
+					was[s] = e.v
+					e.work = append(e.work, fired{r, int32(s)})
+				}
+			}
+		}
+	}
+	m, err := e.drain()
+	return n + m, err
+}
+
+// count sets member m's counts from its operands' values and queues the
+// states where it fires.
+func (e *evaluation) count(m int32) {
+	nd, v := &e.p.nodes[m], e.v
+	val, cnt := e.vals[m], e.cnt[m]
+	queue := func(s int) { e.work = append(e.work, fired{m, int32(s)}) }
+	switch nd.op {
+	case opAnd, opOr:
+		a, b := e.vals[nd.a], e.vals[nd.b]
+		for s := range val {
+			if val[s] == v {
+				continue
+			}
+			k := int32(0)
+			if a[s] == v {
+				k++
+			}
+			if b[s] == v {
+				k++
+			}
+			if cnt != nil {
+				cnt[s] = 2 - k
+				if k == 2 {
+					queue(s)
+				}
+			} else if k > 0 {
+				queue(s)
+			}
+		}
+	case opDia, opBox:
+		// One pass over the transitions: an "all" modality counts the
+		// matching successors short of v, an "any" one marks the sources
+		// with a matching successor at v.
+		mask, a := e.p.masks[nd.act], e.vals[nd.a]
+		if cnt != nil {
+			clear(cnt)
+			e.l.EachTransition(func(t lts.Transition) {
+				if mask[t.Label] && a[t.Dst] != v {
+					cnt[t.Src]++
+				}
+			})
+		} else {
+			if e.seen == nil {
+				e.seen = make([]bool, len(val))
+			}
+			clear(e.seen)
+			e.l.EachTransition(func(t lts.Transition) {
+				if mask[t.Label] && a[t.Dst] == v {
+					e.seen[t.Src] = true
+				}
+			})
+		}
+		for s := range val {
+			if val[s] != v && (cnt != nil && cnt[s] == 0 || cnt == nil && e.seen[s]) {
+				queue(s)
+			}
+		}
+	case opMu, opNu:
+		a := e.vals[nd.a]
+		for s := range val {
+			if val[s] != v && a[s] == v {
+				queue(s)
+			}
+		}
+	}
+}
+
+// drain propagates the queued firings through the current block until
+// none is left, and returns how many new firings it made.
+func (e *evaluation) drain() (int, error) {
+	p, n := e.p, 0
+	for len(e.work) > 0 {
+		if e.pops++; e.pops&0xfff == 0 {
+			if err := e.ctx.Err(); err != nil {
+				return 0, err
+			}
+		}
+		w := e.work[len(e.work)-1]
+		e.work = e.work[:len(e.work)-1]
+		for _, r := range p.parents[w.node] {
+			if p.block[r] != e.cur {
+				continue
+			}
+			nd := &p.nodes[r]
+			if nd.op != opDia && nd.op != opBox {
+				n += e.hit(r, w.state)
+				continue
+			}
+			mask := p.masks[nd.act]
+			e.l.EachIncoming(lts.State(w.state), func(t lts.Transition) {
+				if mask[t.Label] {
+					n += e.hit(r, int32(t.Src))
+				}
+			})
+		}
+	}
+	return n, nil
+}
+
+// hit records that one operand of member r reached the target value at
+// state s, and fires r there when that completes it.
+func (e *evaluation) hit(r, s int32) int {
+	if e.vals[r][s] == e.v {
+		return 0
+	}
+	if cnt := e.cnt[r]; cnt != nil {
+		if cnt[s]--; cnt[s] > 0 {
+			return 0
+		}
+	}
+	e.vals[r][s] = e.v
+	e.work = append(e.work, fired{r, s})
+	return 1
 }

@@ -5,9 +5,23 @@
 // Formulas are built from boolean connectives, the modalities ⟨α⟩φ and
 // [α]φ whose action formula α selects transition labels, and the least/
 // greatest fixpoint operators mu X.φ / nu X.φ. Derived temporal operators
-// (reachability, invariance, inevitability, weak modalities, deadlock
-// freedom) are provided as constructors, and a textual syntax is accepted
-// by Parse.
+// (reachability, invariance, inevitability, response, deadlock freedom,
+// livelock) are provided as constructors, and a textual syntax is
+// accepted by Parse and, with the serve-level presets, by ParseQuery.
+//
+// Sat, Check and Verify compile a formula once per LTS and solve it as a
+// boolean equation system, the way EVALUATOR does (Mateescu & Sighireanu,
+// SCP 2003). Compilation pushes negations to the leaves, matches each
+// action formula against each label once, and groups the fixpoints into
+// blocks: nested fixpoints of one sign are solved together, and a closed
+// subformula is evaluated once. Each block is solved with a counter
+// worklist over (state, subformula) pairs whose firings walk the
+// predecessor index of the LTS, so an alternation-free formula is
+// checked in O(|φ| · (|S| + |T|)) time (Cleaveland & Steffen, FMSD
+// 1993). Alternations are solved by nested rounds over the same
+// compiled form, each inner block re-solved from its bottom. Evaluation
+// does not recurse over the formula's depth, and every solve observes
+// its context.
 package mcl
 
 import (
@@ -52,16 +66,6 @@ func ActionRegex(pattern string) (ActionFormula, error) {
 	return afRegex{re}, nil
 }
 
-// MustActionRegex is ActionRegex that panics on a bad pattern; for use with
-// compile-time constant patterns.
-func MustActionRegex(pattern string) ActionFormula {
-	a, err := ActionRegex(pattern)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
 // NotAction negates an action formula.
 func NotAction(a ActionFormula) ActionFormula { return afNot{a} }
 
@@ -70,9 +74,6 @@ func AndAction(a, b ActionFormula) ActionFormula { return afAnd{a, b} }
 
 // OrAction disjoins action formulas.
 func OrAction(a, b ActionFormula) ActionFormula { return afOr{a, b} }
-
-// VisibleAction matches every label except tau.
-func VisibleAction() ActionFormula { return afNot{afTau{}} }
 
 func (afAny) Matches(string) bool         { return true }
 func (afAny) String() string              { return "true" }

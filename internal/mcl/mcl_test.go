@@ -56,7 +56,7 @@ func TestBasicModalities(t *testing.T) {
 		{Implies(Dia(Action("a"), True()), Dia(Action("c"), True())), true},
 	}
 	for i, c := range cases {
-		got, err := Check(l, c.f)
+		got, err := Check(bg, l, c.f)
 		if err != nil {
 			t.Fatalf("case %d (%s): %v", i, c.f, err)
 		}
@@ -69,55 +69,55 @@ func TestBasicModalities(t *testing.T) {
 func TestFixpoints(t *testing.T) {
 	l := diamondLTS()
 	// EF <b>true: a b-step is reachable.
-	if !MustCheck(l, ReachableAction(Action("b"))) {
+	if !MustCheck(bg, l, ReachableAction(Action("b"))) {
 		t.Error("b should be reachable")
 	}
-	if MustCheck(l, ReachableAction(Action("nope"))) {
+	if MustCheck(bg, l, ReachableAction(Action("nope"))) {
 		t.Error("nope should not be reachable")
 	}
 	// Deadlock reachable (state 3).
-	if !MustCheck(l, Reachable(Not(Dia(AnyAction(), True())))) {
+	if !MustCheck(bg, l, Reachable(Not(Dia(AnyAction(), True())))) {
 		t.Error("deadlock should be reachable in diamond")
 	}
-	if MustCheck(l, DeadlockFree()) {
+	if MustCheck(bg, l, DeadlockFree()) {
 		t.Error("diamond has a deadlock")
 	}
-	if !MustCheck(ringLTS(), DeadlockFree()) {
+	if !MustCheck(bg, ringLTS(), DeadlockFree()) {
 		t.Error("ring is deadlock-free")
 	}
 	// AF deadlock: inevitable in diamond (all paths end in state 3).
-	if !MustCheck(l, Inevitable(Not(Dia(AnyAction(), True())))) {
+	if !MustCheck(bg, l, Inevitable(Not(Dia(AnyAction(), True())))) {
 		t.Error("diamond inevitably deadlocks")
 	}
-	if MustCheck(ringLTS(), Inevitable(Not(Dia(AnyAction(), True())))) {
+	if MustCheck(bg, ringLTS(), Inevitable(Not(Dia(AnyAction(), True())))) {
 		t.Error("ring never deadlocks")
 	}
 }
 
 func TestInvariantAndNeverEnabled(t *testing.T) {
 	l := ringLTS()
-	if !MustCheck(l, Invariant(Dia(AnyAction(), True()))) {
+	if !MustCheck(bg, l, Invariant(Dia(AnyAction(), True()))) {
 		t.Error("ring invariantly can move")
 	}
-	if !MustCheck(l, NeverEnabled(Action("zzz"))) {
+	if !MustCheck(bg, l, NeverEnabled(Action("zzz"))) {
 		t.Error("zzz is never enabled")
 	}
-	if MustCheck(l, NeverEnabled(Action("b"))) {
+	if MustCheck(bg, l, NeverEnabled(Action("b"))) {
 		t.Error("b is enabled at state 1")
 	}
 }
 
 func TestResponse(t *testing.T) {
 	// In the ring every a is followed by b eventually.
-	if !MustCheck(ringLTS(), Response(Action("a"), Action("b"))) {
+	if !MustCheck(bg, ringLTS(), Response(Action("a"), Action("b"))) {
 		t.Error("ring: a should be followed by b")
 	}
 	// In the diamond, after a the only continuation is b: response holds.
-	if !MustCheck(diamondLTS(), Response(Action("a"), Action("b"))) {
+	if !MustCheck(bg, diamondLTS(), Response(Action("a"), Action("b"))) {
 		t.Error("diamond: a is always followed by b")
 	}
 	// After a, d never happens.
-	if MustCheck(diamondLTS(), Response(Action("a"), Action("d"))) {
+	if MustCheck(bg, diamondLTS(), Response(Action("a"), Action("d"))) {
 		t.Error("diamond: a is never followed by d")
 	}
 }
@@ -133,16 +133,16 @@ func TestWeakModalitiesAndLivelock(t *testing.T) {
 	l.AddTransition(4, lts.Tau, 3)
 	l.SetInitial(0)
 
-	if !MustCheck(l, WeakDia(Action("a"), True())) {
+	if !MustCheck(bg, l, WeakDia(Action("a"), True())) {
 		t.Error("weak diamond should see a through tau")
 	}
-	if MustCheck(l, Dia(Action("a"), True())) {
+	if MustCheck(bg, l, Dia(Action("a"), True())) {
 		t.Error("strong diamond must not see a through tau")
 	}
-	if !MustCheck(l, Livelock()) {
+	if !MustCheck(bg, l, Livelock()) {
 		t.Error("tau cycle is a livelock")
 	}
-	if MustCheck(ringLTS(), Livelock()) {
+	if MustCheck(bg, ringLTS(), Livelock()) {
 		t.Error("ring has no tau at all")
 	}
 }
@@ -180,22 +180,22 @@ func TestActionFormulas(t *testing.T) {
 
 func TestWellFormedness(t *testing.T) {
 	// Free variable.
-	if _, err := Sat(ringLTS(), Var("X")); err == nil {
+	if _, err := Sat(bg, ringLTS(), Var("X")); err == nil {
 		t.Error("free variable accepted")
 	}
 	// Negative occurrence.
 	bad := Mu("X", Not(Var("X")))
-	if _, err := Sat(ringLTS(), bad); err == nil {
+	if _, err := Sat(bg, ringLTS(), bad); err == nil {
 		t.Error("negative fixpoint variable accepted")
 	}
 	// Double negation is fine.
 	good := Mu("X", Not(Not(Var("X"))))
-	if _, err := Sat(ringLTS(), good); err != nil {
+	if _, err := Sat(bg, ringLTS(), good); err != nil {
 		t.Errorf("positive (doubly negated) variable rejected: %v", err)
 	}
 	// Variable under box inside negation: still negative.
 	bad2 := Nu("X", Not(Box(AnyAction(), Var("X"))))
-	if _, err := Sat(ringLTS(), bad2); err == nil {
+	if _, err := Sat(bg, ringLTS(), bad2); err == nil {
 		t.Error("negative variable under box accepted")
 	}
 }
@@ -203,14 +203,14 @@ func TestWellFormedness(t *testing.T) {
 func TestNestedFixpointsShadowing(t *testing.T) {
 	// nu X. (<a>true or mu X. <any>X) — inner X shadows outer.
 	f := Nu("X", Or(Dia(Action("a"), True()), Mu("X", Dia(AnyAction(), Var("X")))))
-	if _, err := Sat(ringLTS(), f); err != nil {
+	if _, err := Sat(bg, ringLTS(), f); err != nil {
 		t.Fatalf("shadowed fixpoint rejected: %v", err)
 	}
 }
 
 func TestSatCount(t *testing.T) {
 	l := diamondLTS()
-	set, err := Sat(l, Dia(AnyAction(), True()))
+	set, err := Sat(bg, l, Dia(AnyAction(), True()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestSatCount(t *testing.T) {
 
 func TestVerifyWitness(t *testing.T) {
 	l := diamondLTS()
-	res, err := Verify(l, ReachableAction(Action("b")))
+	res, err := Verify(bg, l, ReachableAction(Action("b")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestVerifyWitness(t *testing.T) {
 
 func TestVerifyWitnessDeadlock(t *testing.T) {
 	l := diamondLTS()
-	res, err := Verify(l, Reachable(Not(Dia(AnyAction(), True()))))
+	res, err := Verify(bg, l, Reachable(Not(Dia(AnyAction(), True()))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestParseBasics(t *testing.T) {
 			t.Errorf("Parse(%q): %v", c.src, err)
 			continue
 		}
-		got, err := Check(l, f)
+		got, err := Check(bg, l, f)
 		if err != nil {
 			t.Errorf("Check(%q): %v", c.src, err)
 			continue
@@ -317,7 +317,7 @@ func TestParseRoundtrip(t *testing.T) {
 			t.Errorf("reparse of %q (%q) failed: %v", src, f1.String(), err)
 			continue
 		}
-		v1, v2 := MustCheck(l, f1), MustCheck(l, f2)
+		v1, v2 := MustCheck(bg, l, f1), MustCheck(bg, l, f2)
 		if v1 != v2 {
 			t.Errorf("roundtrip changed truth of %q: %v vs %v", src, v1, v2)
 		}
@@ -326,7 +326,7 @@ func TestParseRoundtrip(t *testing.T) {
 
 func TestEmptyLTS(t *testing.T) {
 	l := lts.New("empty")
-	if _, err := Check(l, True()); err == nil {
+	if _, err := Check(bg, l, True()); err == nil {
 		t.Error("Check on empty LTS should error")
 	}
 }
@@ -344,7 +344,7 @@ func TestFormulaString(t *testing.T) {
 func TestNegatedClosedFixpoint(t *testing.T) {
 	// not (nu X. ...) is well-formed: polarity is relative to the binder.
 	f := Not(DeadlockFree())
-	got, err := Check(diamondLTS(), f)
+	got, err := Check(bg, diamondLTS(), f)
 	if err != nil {
 		t.Fatalf("negated closed fixpoint rejected: %v", err)
 	}
@@ -353,7 +353,7 @@ func TestNegatedClosedFixpoint(t *testing.T) {
 	}
 	// Mixed: a negated fixpoint conjoined with a positive one.
 	g := And(Not(DeadlockFree()), Reachable(Dia(Action("a"), True())))
-	if _, err := Sat(diamondLTS(), g); err != nil {
+	if _, err := Sat(bg, diamondLTS(), g); err != nil {
 		t.Fatalf("conjunction with negated fixpoint rejected: %v", err)
 	}
 }

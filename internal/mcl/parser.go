@@ -40,16 +40,6 @@ func Parse(input string) (Formula, error) {
 	return f, nil
 }
 
-// MustParse is Parse that panics on error; for compile-time constant
-// formulas.
-func MustParse(input string) Formula {
-	f, err := Parse(input)
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
-
 type tokKind int
 
 const (

@@ -7,11 +7,10 @@ import (
 // Fresh variable names used by the derived-operator constructors. They are
 // deliberately unusual to avoid capture of user-chosen variables.
 const (
-	varReach  = "_R"
-	varInv    = "_I"
-	varInev   = "_F"
-	varTauRch = "_T"
-	varLoop   = "_L"
+	varReach = "_R"
+	varInv   = "_I"
+	varInev  = "_F"
+	varLoop  = "_L"
 )
 
 // Reachable is EF f: some path reaches a state satisfying f.
@@ -57,18 +56,6 @@ func Response(trigger, response ActionFormula) Formula {
 	return Invariant(Box(trigger, Inevitable(Dia(response, True()))))
 }
 
-// TauReach is f reachable through internal steps only:
-//
-//	mu _T . f or <tau> _T
-func TauReach(f Formula) Formula {
-	return Mu(varTauRch, Or(f, Dia(TauAction(), Var(varTauRch))))
-}
-
-// WeakDia is the weak diamond ⟪act⟫ f = ⟨tau*.act.tau*⟩ f.
-func WeakDia(act ActionFormula, f Formula) Formula {
-	return Mu(varReach, Or(Dia(act, TauReach(f)), Dia(TauAction(), Var(varReach))))
-}
-
 // Livelock holds when a cycle of internal actions is reachable:
 //
 //	EF nu _L . <tau> _L
@@ -79,8 +66,9 @@ func Livelock() Formula {
 // reachabilityWitness recognizes formulas built by Reachable /
 // ReachableAction and, when possible, produces a shortest label trace from
 // the initial state to a state satisfying the target subformula (for
-// ReachableAction, the trace includes the matching action itself).
-func reachabilityWitness(l *lts.LTS, f Formula) ([]string, bool) {
+// ReachableAction, the trace includes the matching action itself). The
+// target's states come from e, the evaluation of f.
+func reachabilityWitness(l *lts.LTS, f Formula, e *evaluation) ([]string, bool) {
 	mu, ok := f.(fMu)
 	if !ok {
 		return nil, false
@@ -100,18 +88,17 @@ func reachabilityWitness(l *lts.LTS, f Formula) ([]string, bool) {
 	if _, isAny := dia.act.(afAny); !isAny {
 		return nil, false
 	}
-	target := or.a
-	if containsVar(target, mu.name) {
+	// Compiled, node 0 is the mu, node 1 its or, and the or's first
+	// operand the target, which must not mention the mu's variable.
+	t := e.p.nodes[1].a
+	if !e.p.closed(t) {
 		return nil, false
 	}
-	targetSet, err := Sat(l, target)
-	if err != nil {
-		return nil, false
-	}
+	targetSet := e.vals[t]
 
 	// If the target itself is <act> true, extend the trace with the action.
 	var finalAct ActionFormula
-	if d, ok := target.(fDia); ok {
+	if d, ok := or.a.(fDia); ok {
 		if _, isTrue := d.f.(fTrue); isTrue {
 			finalAct = d.act
 		}
@@ -165,27 +152,4 @@ func reachabilityWitness(l *lts.LTS, f Formula) ([]string, bool) {
 		})
 	}
 	return trace, true
-}
-
-func containsVar(f Formula, name string) bool {
-	switch g := f.(type) {
-	case fVar:
-		return g.name == name
-	case fNot:
-		return containsVar(g.f, name)
-	case fAnd:
-		return containsVar(g.a, name) || containsVar(g.b, name)
-	case fOr:
-		return containsVar(g.a, name) || containsVar(g.b, name)
-	case fDia:
-		return containsVar(g.f, name)
-	case fBox:
-		return containsVar(g.f, name)
-	case fMu:
-		return g.name != name && containsVar(g.body, name)
-	case fNu:
-		return g.name != name && containsVar(g.body, name)
-	default:
-		return false
-	}
 }

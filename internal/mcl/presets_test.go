@@ -53,7 +53,7 @@ func TestPresetsOnKnownModels(t *testing.T) {
 		{"tau-cycle: weak dia z", tauCycle, WeakDia(Action("z"), True()), false},
 	}
 	for _, c := range cases {
-		got, err := Check(c.l, c.f)
+		got, err := Check(bg, c.l, c.f)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -84,11 +84,11 @@ func TestPresetsParseBack(t *testing.T) {
 		if err != nil {
 			t.Fatalf("preset %s does not parse back: %v", src, err)
 		}
-		want, err := Check(l, f)
+		want, err := Check(bg, l, f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Check(l, parsed)
+		got, err := Check(bg, l, parsed)
 		if err != nil {
 			t.Fatalf("checking parsed %s: %v", src, err)
 		}
@@ -127,7 +127,7 @@ func TestParseQuery(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ParseQuery(%q): %v", c.query, err)
 		}
-		got, err := Check(c.l, f)
+		got, err := Check(bg, c.l, f)
 		if err != nil {
 			t.Fatalf("checking %q: %v", c.query, err)
 		}

@@ -33,11 +33,11 @@ func TestQuickBoxDiaDuality(t *testing.T) {
 	prop := func(r randLTS, fi, ai uint8) bool {
 		f := fs[int(fi)%len(fs)]
 		a := acts[int(ai)%len(acts)]
-		box, err := Sat(r.L, Box(a, f))
+		box, err := Sat(bg, r.L, Box(a, f))
 		if err != nil {
 			return false
 		}
-		dual, err := Sat(r.L, Not(Dia(a, Not(f))))
+		dual, err := Sat(bg, r.L, Not(Dia(a, Not(f))))
 		if err != nil {
 			return false
 		}
@@ -53,11 +53,11 @@ func TestQuickDeMorgan(t *testing.T) {
 	prop := func(r randLTS, i, j uint8) bool {
 		f := fs[int(i)%len(fs)]
 		g := fs[int(j)%len(fs)]
-		left, err := Sat(r.L, Not(And(f, g)))
+		left, err := Sat(bg, r.L, Not(And(f, g)))
 		if err != nil {
 			return false
 		}
-		right, err := Sat(r.L, Or(Not(f), Not(g)))
+		right, err := Sat(bg, r.L, Or(Not(f), Not(g)))
 		if err != nil {
 			return false
 		}
@@ -72,11 +72,11 @@ func TestQuickFixpointUnrolling(t *testing.T) {
 	// mu X. f or <any>X  ==  f or <any>(mu X. f or <any>X).
 	prop := func(r randLTS, ai uint8) bool {
 		target := Dia(Action(string(rune('a'+ai%3))), True())
-		lhs, err := Sat(r.L, Reachable(target))
+		lhs, err := Sat(bg, r.L, Reachable(target))
 		if err != nil {
 			return false
 		}
-		rhs, err := Sat(r.L, Or(target, Dia(AnyAction(), Reachable(target))))
+		rhs, err := Sat(bg, r.L, Or(target, Dia(AnyAction(), Reachable(target))))
 		if err != nil {
 			return false
 		}
@@ -95,14 +95,14 @@ func TestQuickInvariantImpliesEverywhereReachable(t *testing.T) {
 		if ai%2 == 0 {
 			f = Not(Dia(Action("a"), True()))
 		}
-		agHolds, err := Check(r.L, Invariant(f))
+		agHolds, err := Check(bg, r.L, Invariant(f))
 		if err != nil {
 			return false
 		}
 		if !agHolds {
 			return true // nothing to verify
 		}
-		fset, err := Sat(r.L, f)
+		fset, err := Sat(bg, r.L, f)
 		if err != nil {
 			return false
 		}
@@ -120,7 +120,7 @@ func TestQuickInvariantImpliesEverywhereReachable(t *testing.T) {
 
 func TestQuickDeadlockFreeMatchesStructure(t *testing.T) {
 	prop := func(r randLTS) bool {
-		holds, err := Check(r.L, DeadlockFree())
+		holds, err := Check(bg, r.L, DeadlockFree())
 		if err != nil {
 			return false
 		}
@@ -155,11 +155,11 @@ func TestQuickParserAgreesWithConstructors(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		s1, err := Sat(r.L, parsed)
+		s1, err := Sat(bg, r.L, parsed)
 		if err != nil {
 			return false
 		}
-		s2, err := Sat(r.L, p.f)
+		s2, err := Sat(bg, r.L, p.f)
 		if err != nil {
 			return false
 		}

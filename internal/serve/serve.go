@@ -837,52 +837,37 @@ func (s *Server) executeSpec(ctx context.Context, models []*multival.Model, hash
 }
 
 // runCheck evaluates one property query against a functional model,
-// sharing verdicts through the cache. The mu-calculus evaluator takes no
-// context, so it runs under a watchdog goroutine: on deadline the request
-// fails cleanly while the evaluation is abandoned (its CPU is lost but
-// the worker is not wedged — verdict sizes are bounded by the functional
-// model, which minimization has already shrunk).
+// sharing verdicts through the cache. The evaluation observes ctx, so a
+// deadline or cancel stops it; a panic in it fails the request as an
+// internal error.
 func (s *Server) runCheck(ctx context.Context, funcKey string, fm *multival.Model, query string, rec *obs.SpanRecorder) (QueryCheck, error) {
 	cSpec := checkSpec{Func: funcKey, Query: query}
-	v, _, err := s.cache.Do(ctx, "check/"+specHash(cSpec), func() (any, error) {
+	v, _, err := s.cache.Do(ctx, "check/"+specHash(cSpec), func() (_ any, err error) {
 		rec.Enter(obs.StageCheck)
 		f, err := mcl.ParseQuery(query)
 		if err != nil {
 			return nil, badRequestf("%v", err)
 		}
-		type outcome struct {
-			r   mcl.Result
-			err error
-		}
-		ch := make(chan outcome, 1)
-		go func() {
-			defer func() {
-				if p := recover(); p != nil {
-					ch <- outcome{err: internalf("evaluating %q panicked: %v", query, p)}
-				}
-			}()
-			r, err := mcl.Verify(fm.L, f)
-			ch <- outcome{r: r, err: err}
-		}()
-		select {
-		case o := <-ch:
-			if o.err != nil {
-				return nil, o.err
+		defer func() {
+			if p := recover(); p != nil {
+				err = internalf("evaluating %q panicked: %v", query, p)
 			}
-			s.builds.check.Add(1)
-			return &QueryCheck{
-				Query: query,
-				CheckResult: CheckResult{
-					Holds:     o.r.Holds,
-					Formula:   o.r.Formula,
-					SatCount:  o.r.SatCount,
-					NumStates: o.r.NumStates,
-					Witness:   o.r.Witness,
-				},
-			}, nil
-		case <-ctx.Done():
-			return nil, ctx.Err()
+		}()
+		r, err := mcl.Verify(ctx, fm.L, f)
+		if err != nil {
+			return nil, err
 		}
+		s.builds.check.Add(1)
+		return &QueryCheck{
+			Query: query,
+			CheckResult: CheckResult{
+				Holds:     r.Holds,
+				Formula:   r.Formula,
+				SatCount:  r.SatCount,
+				NumStates: r.NumStates,
+				Witness:   r.Witness,
+			},
+		}, nil
 	})
 	if err != nil {
 		return QueryCheck{}, err
@@ -911,15 +896,15 @@ type StatsBody struct {
 	SnapshotUnixMS int64 `json:"snapshot_unix_ms"`
 	// Server is the binary's build identity (module version, VCS
 	// revision when stamped, Go toolchain).
-	Server        obs.BuildInfo               `json:"server"`
-	Queue         QueueStats                  `json:"queue"`
-	Cache         CacheStats                  `json:"cache"`
-	Models        CacheStats                  `json:"models"`
-	Builds        BuildStats                  `json:"builds"`
-	Artifacts     ArtifactTotals              `json:"artifacts"`
-	Solver        multival.SolverFallbacks    `json:"solver"`
-	Sweeps        int                         `json:"sweeps"`
-	Fault         map[string]fault.PointStats `json:"fault,omitempty"`
+	Server    obs.BuildInfo               `json:"server"`
+	Queue     QueueStats                  `json:"queue"`
+	Cache     CacheStats                  `json:"cache"`
+	Models    CacheStats                  `json:"models"`
+	Builds    BuildStats                  `json:"builds"`
+	Artifacts ArtifactTotals              `json:"artifacts"`
+	Solver    multival.SolverFallbacks    `json:"solver"`
+	Sweeps    int                         `json:"sweeps"`
+	Fault     map[string]fault.PointStats `json:"fault,omitempty"`
 }
 
 // Stats assembles the current service counters.
@@ -929,11 +914,11 @@ func (s *Server) Stats() StatsBody {
 		SnapshotUnixMS: time.Now().UnixMilli(),
 		Server:         obs.ReadBuildInfo(),
 		Queue:          s.queue.Stats(),
-		Cache:         s.cache.Stats(),
-		Models:        s.models.Stats(),
-		Builds:        s.builds.snapshot(),
-		Solver:        multival.SolverFallbackStats(),
-		Sweeps:        s.sweeps.size(),
+		Cache:          s.cache.Stats(),
+		Models:         s.models.Stats(),
+		Builds:         s.builds.snapshot(),
+		Solver:         multival.SolverFallbackStats(),
+		Sweeps:         s.sweeps.size(),
 	}
 	if p := fault.Active(); p != nil {
 		body.Fault = p.Stats()

@@ -26,18 +26,18 @@ func TestCorrectQueueProperties(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Deadlock-free.
-	if !mcl.MustCheck(l, mcl.DeadlockFree()) {
+	if !mcl.MustCheck(context.Background(), l, mcl.DeadlockFree()) {
 		t.Error("correct queue deadlocked")
 	}
 	// Overflow never happens.
-	if !mcl.MustCheck(l, mcl.NeverEnabled(mcl.Action("overflow"))) {
+	if !mcl.MustCheck(context.Background(), l, mcl.NeverEnabled(mcl.Action("overflow"))) {
 		t.Error("correct queue overflowed")
 	}
 	// Every push is eventually followed by a pop... with flush enabled,
 	// values can be legally discarded; check the weaker liveness: a pop
 	// of each value remains reachable from the initial state.
 	for _, lab := range []string{"pop !0", "pop !1"} {
-		if !mcl.MustCheck(l, mcl.ReachableAction(mcl.Action(lab))) {
+		if !mcl.MustCheck(context.Background(), l, mcl.ReachableAction(mcl.Action(lab))) {
 			t.Errorf("%s unreachable", lab)
 		}
 	}
@@ -82,7 +82,7 @@ func TestCreditLeakDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mcl.Verify(l, mcl.Reachable(mcl.Not(mcl.Dia(mcl.AnyAction(), mcl.True()))))
+	res, err := mcl.Verify(context.Background(), l, mcl.Reachable(mcl.Not(mcl.Dia(mcl.AnyAction(), mcl.True()))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestCreditLeakDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mcl.MustCheck(good, mcl.DeadlockFree()) {
+	if !mcl.MustCheck(context.Background(), good, mcl.DeadlockFree()) {
 		t.Fatal("correct variant must be deadlock-free")
 	}
 }
@@ -108,7 +108,7 @@ func TestOptimisticPushOverflowDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mcl.Verify(l, mcl.ReachableAction(mcl.Action("overflow")))
+	res, err := mcl.Verify(context.Background(), l, mcl.ReachableAction(mcl.Action("overflow")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestValueQueueFIFO(t *testing.T) {
 	if q.NumStates() != 7 {
 		t.Fatalf("value queue has %d states, want 7", q.NumStates())
 	}
-	if !mcl.MustCheck(q, mcl.DeadlockFree()) {
+	if !mcl.MustCheck(context.Background(), q, mcl.DeadlockFree()) {
 		t.Error("value queue deadlocked")
 	}
 }

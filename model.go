@@ -131,18 +131,20 @@ func (m *Model) Hide(gates ...string) *Model {
 }
 
 // Check parses a mu-calculus formula (internal/mcl syntax) and evaluates
-// it on the model's initial state.
+// it on the model's initial state. The check runs to completion: use
+// mcl.Verify with the model's LTS to bound it by a context.
 func (m *Model) Check(formula string) (mcl.Result, error) {
 	f, err := mcl.Parse(formula)
 	if err != nil {
 		return mcl.Result{}, err
 	}
-	return mcl.Verify(m.L, f)
+	return mcl.Verify(context.Background(), m.L, f)
 }
 
-// CheckDeadlockFree verifies absence of reachable deadlocks.
+// CheckDeadlockFree verifies absence of reachable deadlocks. Like Check,
+// it runs to completion.
 func (m *Model) CheckDeadlockFree() (mcl.Result, error) {
-	return mcl.Verify(m.L, mcl.DeadlockFree())
+	return mcl.Verify(context.Background(), m.L, mcl.DeadlockFree())
 }
 
 // Compare checks two models for equivalence modulo rel, observing ctx at

@@ -1,8 +1,10 @@
 #!/bin/sh
-# Benchmark trajectory: run the solver benchmarks (the CSR stationary
-# sweep against its closure-dispatch reference, SCC-block absorption,
-# uniformization, policy-iteration bounds), the serving benchmarks (cold
-# solve vs content-addressed cache hit over HTTP), the composition
+# Benchmark trajectory: run the model-checking benchmarks (the serve
+# presets on the 65,329-state handshake router), the solver benchmarks
+# (the CSR stationary sweep against its closure-dispatch reference,
+# SCC-block absorption, uniformization, policy-iteration bounds), the
+# serving benchmarks (cold solve vs content-addressed cache hit over
+# HTTP), the composition
 # benchmarks (sequential vs hash-sharded generation of the ~100k-state
 # product), the sweep benchmarks (3x3 fame grid cold vs warm vs naive
 # per-point re-solve, measuring the artifact sharing across grid points)
@@ -30,7 +32,7 @@ if [ "${1:-}" = "--compare" ]; then
 fi
 
 COUNT="${COUNT:-6}"
-BENCH="${BENCH:-SteadyStateLargeChain$|SteadyStateLargeChainClosures|AbsorptionMultiBSCC|TransientLargeChain|ThroughputBoundsPolicy|ServeSolve|ComposeSeq100k|ComposeParallel100k|SweepFameCold|SweepFameWarm|SweepFameNaive|StateSpaceGeneration}"
+BENCH="${BENCH:-ModelCheckRouter|SteadyStateLargeChain$|SteadyStateLargeChainClosures|AbsorptionMultiBSCC|TransientLargeChain|ThroughputBoundsPolicy|ServeSolve|ComposeSeq100k|ComposeParallel100k|SweepFameCold|SweepFameWarm|SweepFameNaive|StateSpaceGeneration}"
 OUT_TXT="${OUT_TXT:-.bench_build/bench.txt}"
 OUT_JSON="${OUT_JSON:-.bench_build/bench.json}"
 mkdir -p "$(dirname "$OUT_TXT")" "$(dirname "$OUT_JSON")"
