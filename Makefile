@@ -22,8 +22,9 @@ lint:
 	$(GO) vet ./...
 	$(GO) test ./internal/contracts
 
-# Race-enabled tests of the concurrent layers: the parallel refinement
-# engine, sharded product generation (the compose differential tests
+# Race-enabled tests of the concurrent layers: the LTS adjacency index
+# (built lazily by whichever reader comes first, TestConcurrentFirstReads),
+# the parallel refinement engine, sharded product generation (the compose differential tests
 # force the multi-worker path), the pipeline package (root), the CSR
 # sweep kernels, the solvers sharding them across workers, the serving
 # layer (queue workers + singleflight cache), and the metrics registry
@@ -33,7 +34,7 @@ lint:
 # root TestWorkerCountNeverChangesMeasures, serve
 # TestServeCacheHitIndependentOfWorkers) run here at 0, 1 and 4 workers.
 race:
-	$(GO) test -race . ./internal/bisim ./internal/sparse ./internal/compose ./internal/markov ./internal/imc ./internal/serve ./internal/sweep ./internal/obs ./internal/fault ./internal/retry ./internal/process
+	$(GO) test -race . ./internal/lts ./internal/bisim ./internal/sparse ./internal/compose ./internal/markov ./internal/imc ./internal/serve ./internal/sweep ./internal/obs ./internal/fault ./internal/retry ./internal/process
 
 # Fault-injection suite under the race detector: sweeps under injected
 # errors/panics/latency must stay byte-identical to fault-free runs,
@@ -48,17 +49,20 @@ chaos:
 smoke:
 	./scripts/smoke.sh
 
-# Short native fuzzing of the five inputs that arrive from outside: the
+# Short native fuzzing of the seven inputs that arrive from outside: the
 # .aut read/write round trip, MCL property queries, LOTOS specifications,
-# fault specs and /v1/solve request bodies (decoding, validation and
-# model resolution). Crashers land in the package's testdata/fuzz
-# corpus; commit them with their fix.
+# fault specs, /v1/solve request bodies (decoding, validation and model
+# resolution), /v1/sweeps request bodies (decoding, resume lookup and
+# planning) and /v1/fault request bodies (the admin handler). Crashers
+# land in the package's testdata/fuzz corpus; commit them with their fix.
 fuzz:
 	$(GO) test -run XXX -fuzz FuzzAutRoundTrip -fuzztime 10s ./internal/aut
 	$(GO) test -run XXX -fuzz FuzzParseQuery -fuzztime 10s ./internal/mcl
 	$(GO) test -run XXX -fuzz FuzzParseLOTOS -fuzztime 10s ./internal/lotos
 	$(GO) test -run XXX -fuzz FuzzParseSpec -fuzztime 10s ./internal/fault
 	$(GO) test -run XXX -fuzz FuzzDecodeSolveRequest -fuzztime 10s ./internal/serve
+	$(GO) test -run XXX -fuzz FuzzSweepRequest -fuzztime 10s ./internal/serve
+	$(GO) test -run XXX -fuzz FuzzFaultRequest -fuzztime 10s ./internal/serve
 
 # The benchmark harness is its own module (mvbench/go.mod) importing
 # multival/internal/..., so the root build never compiles it: vet and

@@ -12,7 +12,7 @@ import (
 // context never cancels, so the bisim calls cannot fail here.
 
 func partition(l *lts.LTS, rel Relation) []int {
-	block, err := bisim.PartitionFrozenCtx(context.Background(), l.Freeze(), rel, bisim.Options{})
+	block, err := bisim.PartitionCtx(context.Background(), l, rel, bisim.Options{})
 	if err != nil {
 		panic(err)
 	}

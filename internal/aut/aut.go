@@ -114,10 +114,11 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("aut: line %d: %s", e.Line, e.Msg)
 }
 
-// maxStates bounds the state count a header may declare: Read allocates
-// every declared state up front, so without a bound a 20-byte header
-// could demand tens of gigabytes. It is four times the default bound of
-// the state-space generators (1<<20).
+// maxStates bounds the state count a header may declare. Declaring
+// states costs Read nothing, but every later pass (the adjacency index,
+// minimization, solvers) allocates per state, so without a bound a
+// 20-byte header could demand tens of gigabytes downstream. It is four
+// times the default bound of the state-space generators (1<<20).
 const maxStates = 1 << 22
 
 // Read parses an Aldebaran-format LTS. The number of states and transitions

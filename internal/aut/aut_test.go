@@ -140,10 +140,12 @@ func TestHeaderFormat(t *testing.T) {
 	}
 }
 
-// TestReadHeaderAllocation bounds what a bare header costs: the largest
-// declared state count allocates at most 64 bytes per state before any
-// transition is read (it was about 279, regrowing the per-state tables
-// once per state).
+// TestReadHeaderAllocation bounds what a bare header costs: declaring the
+// largest state count allocates a constant amount before any transition
+// is read, because states carry no storage of their own. The bound is
+// the scanner's 64 KB line buffer plus 64 KB. It was about 279 B per declared state when the per-state
+// tables regrew once per state, then about 48 B per state once they grew
+// in one step.
 func TestReadHeaderAllocation(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -155,7 +157,7 @@ func TestReadHeaderAllocation(t *testing.T) {
 	if l.NumStates() != maxStates {
 		t.Fatalf("NumStates = %d, want %d", l.NumStates(), maxStates)
 	}
-	if perState := float64(after.TotalAlloc-before.TotalAlloc) / maxStates; perState > 64 {
-		t.Fatalf("header allocated %.1f B per declared state, want at most 64", perState)
+	if total := after.TotalAlloc - before.TotalAlloc; total > 128<<10 {
+		t.Fatalf("header allocated %d B for %d declared states, want at most 128 KB", total, maxStates)
 	}
 }

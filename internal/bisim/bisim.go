@@ -53,7 +53,7 @@ func (r Relation) String() string {
 }
 
 // PartitionSeq is the sequential reference implementation of
-// PartitionFrozenCtx, kept for differential testing and benchmarking. It
+// PartitionCtx, kept for differential testing and benchmarking. It
 // produces exactly the same block assignment as the parallel engine.
 func PartitionSeq(l *lts.LTS, r Relation) []int {
 	switch r {

@@ -10,11 +10,11 @@ import (
 // cancels, so the refinement entry points cannot fail here.
 
 func partition(l *lts.LTS, r Relation) []int {
-	return partitionFrozen(l.Freeze(), r, Options{})
+	return partitionOpt(l, r, Options{})
 }
 
-func partitionFrozen(f *lts.Frozen, r Relation, opt Options) []int {
-	block, err := PartitionFrozenCtx(context.Background(), f, r, opt)
+func partitionOpt(l *lts.LTS, r Relation, opt Options) []int {
+	block, err := PartitionCtx(context.Background(), l, r, opt)
 	if err != nil {
 		panic(err)
 	}

@@ -30,7 +30,7 @@ func MinimizeCtx(ctx context.Context, l *lts.LTS, r Relation, opt Options) (*lts
 		// not meaningful for callers in terms of original states.
 		return q, nil, nil
 	}
-	block, err := PartitionFrozenCtx(ctx, l.Freeze(), r, opt)
+	block, err := PartitionCtx(ctx, l, r, opt)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -84,7 +84,7 @@ func quotient(l *lts.LTS, block []int, r Relation) *lts.LTS {
 			}
 		})
 		if r == DivBranching {
-			div := divergentStates(l, block, tau)
+			div := divergent(l, block, tau)
 			marked := make(map[int]bool)
 			for s := 0; s < n; s++ {
 				if div[s] && !marked[block[s]] {
@@ -106,7 +106,7 @@ func EquivalentCtx(ctx context.Context, a, b *lts.LTS, r Relation, opt Options) 
 		return EquivalentCtx(ctx, da, db, Strong, opt)
 	}
 	u, initA, initB := DisjointUnion(a, b)
-	block, err := PartitionFrozenCtx(ctx, u.Freeze(), r, opt)
+	block, err := PartitionCtx(ctx, u, r, opt)
 	if err != nil {
 		return false, err
 	}

@@ -66,9 +66,9 @@ func parallelStates(n, workers int, body func(worker, lo, hi int)) {
 	wg.Wait()
 }
 
-// PartitionFrozenCtx computes the coarsest stable partition of a frozen
-// LTS for r (Strong, Branching or DivBranching) using signature-based
-// refinement (Blom & Orzan) over the CSR form. The result maps each state
+// PartitionCtx computes the coarsest stable partition of an LTS for r
+// (Strong, Branching or DivBranching) using signature-based refinement
+// (Blom & Orzan) over the LTS's label-sorted CSR rows. The result maps each state
 // to a dense block index, assigned in order of first occurrence by
 // ascending state number. Every round the per-state signatures are
 // computed by a worker pool in parallel shards, then block ids are
@@ -78,19 +78,19 @@ func parallelStates(n, workers int, body func(worker, lo, hi int)) {
 // returns ctx.Err() (wrapped) when the context is done, so a deadline or
 // cancel aborts refinement within one round. opt.Progress observes each
 // round.
-func PartitionFrozenCtx(ctx context.Context, f *lts.Frozen, r Relation, opt Options) ([]int, error) {
+func PartitionCtx(ctx context.Context, l *lts.LTS, r Relation, opt Options) ([]int, error) {
 	switch r {
 	case Strong, Branching, DivBranching:
 	default:
 		panic("bisim: Partition requires Strong, Branching or DivBranching")
 	}
-	n := f.NumStates()
+	n := l.NumStates()
 	block := make([]int, n)
 	if n == 0 {
 		return block, nil
 	}
 	numBlocks := 1
-	tau := f.TauID()
+	tau := l.LookupLabel(lts.Tau)
 	workers := opt.workers()
 
 	sigs := make([]string, n)
@@ -106,19 +106,19 @@ func PartitionFrozenCtx(ctx context.Context, f *lts.Frozen, r Relation, opt Opti
 		switch r {
 		case Strong:
 			parallelStates(n, workers, func(w, lo, hi int) {
-				strongSignaturesFrozen(f, block, sigs, scratch[w], lo, hi)
+				strongShard(l, block, sigs, scratch[w], lo, hi)
 			})
 		case Branching, DivBranching:
 			var div []bool
 			if r == DivBranching {
-				div = divergentStatesFrozen(f, block, tau)
+				div = divergent(l, block, tau)
 			}
 			// Stamps are qualified by the round so scratch can be
 			// reused across rounds without clearing: a stamp left by a
 			// previous round can never collide with this round's.
 			stampBase := int64(round) * int64(n)
 			parallelStates(n, workers, func(w, lo, hi int) {
-				branchingSignaturesFrozen(f, block, tau, div, sigs, scratch[w], stampBase, lo, hi)
+				branchingShard(l, block, tau, div, sigs, scratch[w], stampBase, lo, hi)
 			})
 		}
 
@@ -168,11 +168,11 @@ func newSigScratch(workers, n int, withVisited bool) []*sigScratch {
 	return out
 }
 
-// strongSignaturesFrozen fills sigs[lo:hi] with the canonical encoding of
-// the (label, block[dst]) pairs of each state's CSR row.
-func strongSignaturesFrozen(f *lts.Frozen, block []int, sigs []string, sc *sigScratch, lo, hi int) {
+// strongShard fills sigs[lo:hi] with the canonical encoding of the
+// (label, block[dst]) pairs of each state's Out row.
+func strongShard(l *lts.LTS, block []int, sigs []string, sc *sigScratch, lo, hi int) {
 	for s := lo; s < hi; s++ {
-		labs, dsts := f.Out(lts.State(s))
+		labs, dsts := l.Out(lts.State(s))
 		sc.pairs = sc.pairs[:0]
 		for i := range labs {
 			sc.pairs = append(sc.pairs, [2]int{int(labs[i]), block[dsts[i]]})
@@ -181,12 +181,12 @@ func strongSignaturesFrozen(f *lts.Frozen, block []int, sigs []string, sc *sigSc
 	}
 }
 
-// branchingSignaturesFrozen fills sigs[lo:hi] with branching-bisimulation
+// branchingShard fills sigs[lo:hi] with branching-bisimulation
 // signatures: the (a, B) pairs reachable through inert tau steps, plus the
 // divergence marker when div is non-nil and marks the state. stampBase
 // must be round*NumStates so that stamps from earlier rounds are distinct
 // from this round's.
-func branchingSignaturesFrozen(f *lts.Frozen, block []int, tau int, div []bool, sigs []string, sc *sigScratch, stampBase int64, lo, hi int) {
+func branchingShard(l *lts.LTS, block []int, tau int, div []bool, sigs []string, sc *sigScratch, stampBase int64, lo, hi int) {
 	for s := lo; s < hi; s++ {
 		stamp := stampBase + int64(s)
 		sc.pairs = sc.pairs[:0]
@@ -196,7 +196,7 @@ func branchingSignaturesFrozen(f *lts.Frozen, block []int, tau int, div []bool, 
 		for len(sc.stack) > 0 {
 			u := sc.stack[len(sc.stack)-1]
 			sc.stack = sc.stack[:len(sc.stack)-1]
-			labs, dsts := f.Out(lts.State(u))
+			labs, dsts := l.Out(lts.State(u))
 			for i := range labs {
 				dst := dsts[i]
 				if int(labs[i]) == tau && block[dst] == myBlock {
@@ -216,13 +216,13 @@ func branchingSignaturesFrozen(f *lts.Frozen, block []int, tau int, div []bool, 
 	}
 }
 
-// divergentStatesFrozen marks states with an infinite inert tau path:
-// members of an inert tau cycle plus states reaching one through inert tau
-// transitions (backward sweep over the incoming CSR). Cycle detection runs
+// divergent marks states with an infinite inert tau path: members of an
+// inert tau cycle plus states reaching one through inert tau transitions
+// (backward sweep over the In rows). Cycle detection runs
 // on the shared iterative Tarjan engine (internal/scc) restricted to inert
 // tau edges.
-func divergentStatesFrozen(f *lts.Frozen, block []int, tau int) []bool {
-	n := f.NumStates()
+func divergent(l *lts.LTS, block []int, tau int) []bool {
+	n := l.NumStates()
 	div := make([]bool, n)
 	if tau < 0 {
 		return div
@@ -232,7 +232,7 @@ func divergentStatesFrozen(f *lts.Frozen, block []int, tau int) []bool {
 	// same-block destinations. The common all-inert case returns the
 	// aliased row without copying.
 	inertSucc := func(s int32) []int32 {
-		all := f.Succ(lts.State(s), tau)
+		all := l.Succ(lts.State(s), tau)
 		myBlock := block[s]
 		for i, d := range all {
 			if block[d] != myBlock {
@@ -270,11 +270,11 @@ func divergentStatesFrozen(f *lts.Frozen, block []int, tau int) []bool {
 		}
 	}
 
-	// Backward propagation through inert tau edges via the incoming CSR.
+	// Backward propagation through inert tau edges via the In rows.
 	for len(worklist) > 0 {
 		s := worklist[len(worklist)-1]
 		worklist = worklist[:len(worklist)-1]
-		labs, srcs := f.In(lts.State(s))
+		labs, srcs := l.In(lts.State(s))
 		lo := sort.Search(len(labs), func(i int) bool { return labs[i] >= int32(tau) })
 		for i := lo; i < len(labs) && labs[i] == int32(tau); i++ {
 			src := srcs[i]

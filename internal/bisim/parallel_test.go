@@ -17,9 +17,8 @@ func TestQuickParallelMatchesSequential(t *testing.T) {
 		t.Run(r.String(), func(t *testing.T) {
 			prop := func(rl randLTS) bool {
 				want := PartitionSeq(rl.L, r)
-				f := rl.L.Freeze()
 				for _, workers := range []int{1, 2, 4, 7} {
-					got := partitionFrozen(f, r, Options{Workers: workers})
+					got := partitionOpt(rl.L, r, Options{Workers: workers})
 					if len(got) != len(want) {
 						return false
 					}
@@ -55,10 +54,9 @@ func TestParallelSmallChunkDifferential(t *testing.T) {
 			TauProb: 0.35,
 			Connect: true,
 		})
-		f := l.Freeze()
 		for _, r := range []Relation{Strong, Branching, DivBranching} {
 			want := PartitionSeq(l, r)
-			got := partitionFrozen(f, r, Options{Workers: 8})
+			got := partitionOpt(l, r, Options{Workers: 8})
 			for i := range got {
 				if got[i] != want[i] {
 					t.Fatalf("trial %d %v: state %d: block %d vs %d",
@@ -82,10 +80,9 @@ func TestParallelMultiRoundDifferential(t *testing.T) {
 			TauProb: 0.3,
 			Connect: true,
 		})
-		f := l.Freeze()
 		for _, r := range []Relation{Strong, Branching, DivBranching} {
 			want := PartitionSeq(l, r)
-			got := partitionFrozen(f, r, Options{Workers: 8})
+			got := partitionOpt(l, r, Options{Workers: 8})
 			for i := range got {
 				if got[i] != want[i] {
 					t.Fatalf("seed %d %v: state %d: block %d vs %d",

@@ -73,11 +73,11 @@ func (o GenOptions) workers() int {
 // checks and progress reports during product generation.
 const genCheckEvery = 1024
 
-// GenerateOpt builds the product LTS of the network on the fly: every
-// component is frozen into its CSR form once, and the synchronized product
-// is explored with a reachable-states worklist, so only reachable tuples
-// are ever materialized. Synchronization candidates are located by binary
-// search in the label-sorted CSR rows of the frozen operands. Generation
+// GenerateOpt builds the product LTS of the network on the fly: the
+// synchronized product is explored with a reachable-states worklist over
+// the components' label-sorted CSR rows, so only reachable tuples are
+// ever materialized. Synchronization candidates are located by binary
+// search in those rows (lts.LTS.Succ). Generation
 // checks ctx at worklist chunks (sequential) or exchange rounds (sharded)
 // and returns ctx.Err() (wrapped) when the context is done, so a deadline
 // or cancel aborts the product mid-worklist.
@@ -89,7 +89,7 @@ const genCheckEvery = 1024
 // is a quiescence check), and a final deterministic renumbering pass makes
 // the result state-for-state identical to the sequential generator — same
 // state numbering, same transition order, same label table — so content
-// digests (lts.Frozen.Hash) are unaffected by the worker count.
+// digests (lts.LTS.Hash) are unaffected by the worker count.
 // Networks whose tuples do not pack into 64 bits (see genPlan.packable)
 // fall back to the sequential generator.
 func (n *Network) GenerateOpt(ctx context.Context, opt GenOptions) (*lts.LTS, error) {
@@ -103,16 +103,16 @@ func (n *Network) GenerateOpt(ctx context.Context, opt GenOptions) (*lts.LTS, er
 	return generateSeq(ctx, plan, opt.Progress)
 }
 
-// genPlan is the shared preamble of both generators: frozen operands and
+// genPlan is the shared preamble of both generators: the operands and
 // the per-component label metadata driving synchronization, all computed
 // once per generation. Product labels are pre-interned into plan ids so
 // the sharded generator never hashes label strings in its hot loop; the
 // final LTS interns label strings in first-transition-encounter order,
 // which both generators reproduce identically.
 type genPlan struct {
-	k      int
-	bound  int
-	frozen []*lts.Frozen
+	k     int
+	bound int
+	comps []*lts.LTS
 
 	// sync[i][id] reports whether label id of component i takes part in
 	// a synchronization (and so must not interleave).
@@ -159,7 +159,7 @@ type syncEntry struct {
 	ids   []int
 }
 
-// prepare freezes the components and computes the label metadata shared
+// prepare checks the components and computes the label metadata shared
 // by the sequential and the sharded generator.
 func (n *Network) prepare() (*genPlan, error) {
 	if len(n.Components) == 0 {
@@ -172,12 +172,11 @@ func (n *Network) prepare() (*genPlan, error) {
 	syncSet := toSet(n.Sync)
 	hideSet := toSet(n.Hide)
 
-	p.frozen = make([]*lts.Frozen, p.k)
-	for i, c := range n.Components {
+	p.comps = n.Components
+	for i, c := range p.comps {
 		if c.NumStates() == 0 {
 			return nil, fmt.Errorf("compose: component %d is empty", i)
 		}
-		p.frozen[i] = c.Freeze()
 	}
 
 	labelID := map[string]int32{}
@@ -199,20 +198,15 @@ func (n *Network) prepare() (*genPlan, error) {
 	p.sync = make([][]bool, p.k)
 	p.moveLab = make([][]int32, p.k)
 	gateLabels := map[string]map[string]bool{}
-	for i, f := range p.frozen {
-		nl := f.NumLabels()
+	for i, c := range p.comps {
+		nl := c.NumLabels()
 		p.sync[i] = make([]bool, nl)
 		p.moveLab[i] = make([]int32, nl)
 		used := make([]bool, nl)
-		for s := 0; s < f.NumStates(); s++ {
-			labs, _ := f.Out(lts.State(s))
-			for _, id := range labs {
-				used[id] = true
-			}
-		}
+		c.EachTransition(func(t lts.Transition) { used[t.Label] = true })
 		gates[i] = map[string]bool{}
 		for id := 0; id < nl; id++ {
-			lab := f.LabelName(id)
+			lab := c.LabelName(id)
 			g := lts.Gate(lab)
 			emit := lab
 			if lab != lts.Tau {
@@ -243,7 +237,7 @@ func (n *Network) prepare() (*genPlan, error) {
 	// deterministic state numbering.
 	for _, g := range n.sortedSyncLabels() {
 		var parts []int
-		for i := range p.frozen {
+		for i := range p.comps {
 			if gates[i][g] {
 				parts = append(parts, i)
 			}
@@ -259,7 +253,7 @@ func (n *Network) prepare() (*genPlan, error) {
 		for _, lab := range labs {
 			ids := make([]int, len(parts))
 			for pi, i := range parts {
-				ids[pi] = p.frozen[i].LookupLabel(lab)
+				ids[pi] = p.comps[i].LookupLabel(lab)
 			}
 			outLab := lab
 			if hideSet[g] {
@@ -270,8 +264,8 @@ func (n *Network) prepare() (*genPlan, error) {
 	}
 
 	p.init = make([]lts.State, p.k)
-	for i, f := range p.frozen {
-		p.init[i] = f.Initial()
+	for i, c := range p.comps {
+		p.init[i] = c.Initial()
 	}
 
 	// Tuple packing layout (see the field comments).
@@ -279,8 +273,8 @@ func (n *Network) prepare() (*genPlan, error) {
 	p.clear = make([]uint64, p.k)
 	total := uint(0)
 	p.packable = true
-	for i, f := range p.frozen {
-		width := uint(bits.Len(uint(f.NumStates() - 1)))
+	for i, c := range p.comps {
+		width := uint(bits.Len(uint(c.NumStates() - 1)))
 		if total+width > 64 {
 			p.packable = false
 			break
@@ -317,7 +311,7 @@ func (n *Network) GenerateSeq(ctx context.Context, progress engine.ProgressFunc)
 // generateSeq runs the sequential worklist over a prepared plan.
 func generateSeq(ctx context.Context, plan *genPlan, progress engine.ProgressFunc) (*lts.LTS, error) {
 	bound := plan.bound
-	frozen := plan.frozen
+	comps := plan.comps
 
 	out := lts.New("product")
 	type tuple []lts.State
@@ -365,8 +359,8 @@ func generateSeq(ctx context.Context, plan *genPlan, progress engine.ProgressFun
 		tp := tuples[qi]
 
 		// Interleaved moves (tau and non-sync labels).
-		for i, f := range frozen {
-			labs, dsts := f.Out(tp[i])
+		for i, c := range comps {
+			labs, dsts := c.Out(tp[i])
 			for ti := range labs {
 				id := labs[ti]
 				if plan.sync[i][id] {
@@ -394,7 +388,7 @@ func generateSeq(ctx context.Context, plan *genPlan, progress engine.ProgressFun
 					enabled = false
 					break
 				}
-				dsts := frozen[i].Succ(tp[i], se.ids[pi])
+				dsts := comps[i].Succ(tp[i], se.ids[pi])
 				if len(dsts) == 0 {
 					enabled = false
 					break

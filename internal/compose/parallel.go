@@ -37,7 +37,7 @@ import (
 // reproduces the sequential generator's state numbering, transition order
 // and label-interning order exactly. The parallel product is
 // state-for-state identical to GenerateSeq, keeping content digests
-// (lts.Frozen.Hash) and with them the serve layer's artifact keys stable
+// (lts.LTS.Hash) and with them the serve layer's artifact keys stable
 // across worker counts.
 
 // A state ref packs (shard, local id) into a uint64. While a remote
@@ -339,8 +339,8 @@ func (sh *genShard) explore(loc int32) error {
 	}
 
 	// Interleaved moves (tau and non-sync labels).
-	for i, f := range plan.frozen {
-		labs, dsts := f.Out(tp[i])
+	for i, c := range plan.comps {
+		labs, dsts := c.Out(tp[i])
 		base := key & plan.clear[i]
 		shift := plan.shift[i]
 		for ti := range labs {
@@ -370,7 +370,7 @@ func (sh *genShard) explore(loc int32) error {
 				enabled = false
 				break
 			}
-			dsts := plan.frozen[i].Succ(tp[i], se.ids[pi])
+			dsts := plan.comps[i].Succ(tp[i], se.ids[pi])
 			if len(dsts) == 0 {
 				enabled = false
 				break
@@ -457,9 +457,9 @@ func (g *shardedGen) replay(ctx context.Context, initOwner int) (*lts.LTS, error
 		labelMemo[i] = -1
 	}
 	var labels []string
-	renum := make([][]lts.State, len(g.shards))
+	renum := make([][]int32, len(g.shards))
 	for w, sh := range g.shards {
-		renum[w] = make([]lts.State, sh.count)
+		renum[w] = make([]int32, sh.count)
 		for i := range renum[w] {
 			renum[w][i] = -1
 		}
@@ -468,8 +468,10 @@ func (g *shardedGen) replay(ctx context.Context, initOwner int) (*lts.LTS, error
 	order := make([]uint64, 1, numStates)
 	order[0] = packRef(initOwner, 0)
 	renum[initOwner][0] = 0
-	next := lts.State(1)
-	trans := make([]lts.Transition, 0, numEdges)
+	next := int32(1)
+	src := make([]int32, 0, numEdges)
+	lab := make([]int32, 0, numEdges)
+	dst := make([]int32, 0, numEdges)
 
 	for qi := 0; qi < len(order); qi++ {
 		if qi%genCheckEvery == 0 {
@@ -499,8 +501,10 @@ func (g *shardedGen) replay(ctx context.Context, initOwner int) (*lts.LTS, error
 				labels = append(labels, g.plan.labels[ed.lab])
 				labelMemo[ed.lab] = lid
 			}
-			trans = append(trans, lts.Transition{Src: lts.State(qi), Label: int(lid), Dst: d})
+			src = append(src, int32(qi))
+			lab = append(lab, lid)
+			dst = append(dst, d)
 		}
 	}
-	return lts.Build("product", numStates, 0, labels, trans), nil
+	return lts.Build("product", numStates, 0, labels, src, lab, dst), nil
 }

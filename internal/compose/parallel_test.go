@@ -99,7 +99,7 @@ func deepNetwork(n int) *Network {
 
 // TestShardedDeepProductIdenticalAndHashStable drives a multi-round
 // sharded generation (deep diameter, thousands of states) and checks both
-// exact equality and Frozen.Hash stability — the digest the serve layer
+// exact equality and LTS.Hash stability — the digest the serve layer
 // uses as artifact key.
 func TestShardedDeepProductIdenticalAndHashStable(t *testing.T) {
 	net := deepNetwork(60) // 60*61 = 3660 product states, diameter ~120
@@ -115,7 +115,7 @@ func TestShardedDeepProductIdenticalAndHashStable(t *testing.T) {
 		if err := equalLTS(seq, par); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if sh, ph := seq.Freeze().Hash(), par.Freeze().Hash(); sh != ph {
+		if sh, ph := seq.Hash(), par.Hash(); sh != ph {
 			t.Fatalf("workers=%d: hash %s != %s", workers, ph, sh)
 		}
 	}

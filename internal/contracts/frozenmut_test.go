@@ -10,7 +10,7 @@ import (
 // returning backing slices.
 var viewMethods = map[string]map[string]map[string]bool{
 	"multival/internal/lts": {
-		"Frozen": {"Out": true, "In": true, "Succ": true},
+		"LTS": {"Out": true, "In": true, "Succ": true},
 	},
 	"multival/internal/sparse": {
 		"Matrix": {"Row": true, "RowTags": true},
@@ -18,15 +18,16 @@ var viewMethods = map[string]map[string]map[string]bool{
 }
 
 // frozenmut pins the immutability contract of the CSR cores.
-// lts.Frozen and sparse.Matrix accessors (Out/In/Succ, Row/RowTags) hand
-// out the backing arrays themselves — not copies — because the hot
-// algorithms scan them in place. The artifact cache content-addresses
-// models by hashing those arrays (lts.Frozen.Hash), so a single write
-// through a returned slice silently corrupts every cached artifact
-// derived from the model.
+// lts.LTS and sparse.Matrix accessors (Out/In/Succ, Row/RowTags) hand
+// out the backing arrays of their CSR index themselves — not copies —
+// because the hot algorithms scan them in place. The artifact cache
+// content-addresses models by hashing the LTS's Out rows (lts.LTS.Hash),
+// and concurrent readers share one index, so a single write through a
+// returned slice silently corrupts every cached artifact derived from the
+// model.
 //
 // Writing an element, copying into a view, sorting it or appending to it
-// mutates the immutable snapshot. Take a copy first:
+// mutates the published index. Take a copy first:
 // append([]int32(nil), view...). The owning packages
 // (multival/internal/lts, multival/internal/sparse) are exempt — they
 // build the arrays before publication.
@@ -46,7 +47,7 @@ func frozenmut(_ *token.FileSet, files []*ast.File, pkg *types.Package, info *ty
 // checkViews tracks, with simple top-down dataflow, which local
 // variables alias a CSR backing slice, then flags mutations through them.
 func checkViews(info *types.Info, report reportFunc, body *ast.BlockStmt) {
-	views := map[types.Object]string{} // object -> "Frozen.Out" provenance
+	views := map[types.Object]string{} // object -> "LTS.Out" provenance
 
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -58,7 +59,7 @@ func checkViews(info *types.Info, report reportFunc, body *ast.BlockStmt) {
 				if ix, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok {
 					if src, ok := viewExprSource(info, views, ix.X); ok {
 						report(lhs.Pos(),
-							"write into CSR backing slice returned by %s; the frozen form is immutable and hash-addressed — copy it first (append([]T(nil), v...))", src)
+							"write into CSR backing slice returned by %s; the index is immutable and hash-addressed — copy it first (append([]T(nil), v...))", src)
 					}
 				}
 			}
@@ -143,7 +144,7 @@ func checkMutatingCall(info *types.Info, report reportFunc, views map[types.Obje
 	if isBuiltinCall(info, call, "copy") {
 		if len(call.Args) == 2 {
 			if src, ok := viewExprSource(info, views, call.Args[0]); ok {
-				report(call.Pos(), "copy into CSR backing slice returned by %s; the frozen form is immutable — copy it first", src)
+				report(call.Pos(), "copy into CSR backing slice returned by %s; the index is immutable — copy it first", src)
 			}
 		}
 		return
@@ -156,7 +157,7 @@ func checkMutatingCall(info *types.Info, report reportFunc, views map[types.Obje
 		}
 		return
 	}
-	// sort.*/slices.Sort* over a view reorders the frozen arrays.
+	// sort.*/slices.Sort* over a view reorders the index arrays.
 	fn := calleeFunc(info, call)
 	if fn == nil || fn.Pkg() == nil {
 		return
@@ -166,7 +167,7 @@ func checkMutatingCall(info *types.Info, report reportFunc, views map[types.Obje
 	}
 	for _, arg := range call.Args {
 		if src, ok := viewExprSource(info, views, arg); ok {
-			report(call.Pos(), "sorting CSR backing slice returned by %s reorders the frozen arrays; sort a copy", src)
+			report(call.Pos(), "sorting CSR backing slice returned by %s reorders the index arrays; sort a copy", src)
 			return
 		}
 	}

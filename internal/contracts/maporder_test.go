@@ -8,7 +8,7 @@ import (
 )
 
 // maporder enforces the engine's byte-determinism contract at
-// map-iteration sites: artifact keys (lts.Frozen.Hash), sweep journals,
+// map-iteration sites: artifact keys (lts.LTS.Hash), sweep journals,
 // the Prometheus exposition and every serialized wire format must be
 // byte-identical across runs and worker counts.
 //

@@ -1,5 +1,5 @@
 // Golden fixture for multivet/frozenmut: writes through CSR backing
-// slices returned by the Frozen / Matrix accessors.
+// slices returned by the LTS / Matrix accessors.
 package frozenmut
 
 import (
@@ -10,26 +10,26 @@ import (
 )
 
 // BAD: writing an element of an accessor view.
-func Clobber(f *lts.Frozen) {
-	labels, dsts := f.Out(0)
+func Clobber(l *lts.LTS) {
+	labels, dsts := l.Out(0)
 	_ = labels
-	dsts[0] = 7 // want `write into CSR backing slice returned by Frozen.Out`
+	dsts[0] = 7 // want `write into CSR backing slice returned by LTS.Out`
 }
 
 // BAD: mutating the successor view.
-func ClobberSucc(f *lts.Frozen) {
-	succ := f.Succ(0, 1)
-	succ[0] = -1 // want `write into CSR backing slice returned by Frozen.Succ`
+func ClobberSucc(l *lts.LTS) {
+	succ := l.Succ(0, 1)
+	succ[0] = -1 // want `write into CSR backing slice returned by LTS.Succ`
 }
 
 // BAD: writing through a reslice alias.
-func ClobberAlias(f *lts.Frozen) {
-	_, dsts := f.In(3)
+func ClobberAlias(l *lts.LTS) {
+	_, dsts := l.In(3)
 	tail := dsts[1:]
-	tail[0] = 9 // want `write into CSR backing slice returned by Frozen.In`
+	tail[0] = 9 // want `write into CSR backing slice returned by LTS.In`
 }
 
-// BAD: sorting a view reorders the frozen arrays.
+// BAD: sorting a view reorders the index arrays.
 func SortView(m *sparse.Matrix) {
 	cols, _ := m.Row(0)
 	sort.Slice(cols, func(i, j int) bool { return cols[i] < cols[j] }) // want `sorting CSR backing slice returned by Matrix.Row`
@@ -42,14 +42,14 @@ func CopyInto(m *sparse.Matrix) {
 }
 
 // BAD: append may write the backing array in place.
-func AppendView(f *lts.Frozen) []int32 {
-	succ := f.Succ(1, 0)
-	return append(succ, 5) // want `append to CSR backing slice returned by Frozen.Succ`
+func AppendView(l *lts.LTS) []int32 {
+	succ := l.Succ(1, 0)
+	return append(succ, 5) // want `append to CSR backing slice returned by LTS.Succ`
 }
 
 // GOOD: reading is the whole point.
-func Degree(f *lts.Frozen) int {
-	labels, _ := f.Out(0)
+func Degree(l *lts.LTS) int {
+	labels, _ := l.Out(0)
 	return len(labels)
 }
 
@@ -63,8 +63,8 @@ func SortedCopy(m *sparse.Matrix) []int32 {
 }
 
 // GOOD: copy FROM a view into owned memory.
-func Snapshot(f *lts.Frozen) []int32 {
-	succ := f.Succ(0, 0)
+func Snapshot(l *lts.LTS) []int32 {
+	succ := l.Succ(0, 0)
 	out := make([]int32, len(succ))
 	copy(out, succ)
 	return out

@@ -1,10 +1,10 @@
 // Package lts is a fixture fake of multival/internal/lts: frozenmut
-// matches the Frozen accessors by receiver type and method name.
+// matches the LTS index accessors by receiver type and method name.
 package lts
 
 type State int32
 
-type Frozen struct {
+type LTS struct {
 	outOff []int32
 	outLab []int32
 	outDst []int32
@@ -13,16 +13,16 @@ type Frozen struct {
 	inSrc  []int32
 }
 
-func (f *Frozen) Out(s State) (labels, dsts []int32) {
-	return f.outLab, f.outDst
+func (l *LTS) Out(s State) (labels, dsts []int32) {
+	return l.outLab, l.outDst
 }
 
-func (f *Frozen) In(s State) (labels, srcs []int32) {
-	return f.inLab, f.inSrc
+func (l *LTS) In(s State) (labels, srcs []int32) {
+	return l.inLab, l.inSrc
 }
 
-func (f *Frozen) Succ(s State, label int) []int32 {
-	return f.outDst
+func (l *LTS) Succ(s State, label int) []int32 {
+	return l.outDst
 }
 
-func (f *Frozen) NumStates() int { return len(f.outOff) - 1 }
+func (l *LTS) NumStates() int { return len(l.outOff) - 1 }

@@ -101,19 +101,19 @@ func newBoundsEvaluator(m *IMC, label string) (*boundsEvaluator, error) {
 	for s := 0; s < n; s++ {
 		e.indexOf[s] = -1
 		e.ndIndex[s] = -1
-		outs := m.Inter.Outgoing(lts.State(s))
-		if len(outs) == 0 {
+		labs, dsts := m.Inter.Out(lts.State(s))
+		if len(labs) == 0 {
 			e.indexOf[s] = int32(len(e.tangible))
 			e.tangible = append(e.tangible, lts.State(s))
 			continue
 		}
-		edges := make([]altEdge, len(outs))
-		for i, t := range outs {
-			lab := m.Inter.LabelName(t.Label)
-			edges[i] = altEdge{dst: int32(t.Dst), counts: lab == label && lab != lts.Tau}
+		edges := make([]altEdge, len(labs))
+		for i, id := range labs {
+			lab := m.Inter.LabelName(int(id))
+			edges[i] = altEdge{dst: dsts[i], counts: lab == label && lab != lts.Tau}
 		}
 		e.alts[s] = edges
-		if len(outs) > 1 {
+		if len(labs) > 1 {
 			e.ndIndex[s] = int32(len(e.nd))
 			e.nd = append(e.nd, int32(s))
 		}

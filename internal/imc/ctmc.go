@@ -43,7 +43,8 @@ func (e *ZenoError) Unwrap() error { return engine.ErrZeno }
 
 // Scheduler resolves internal nondeterminism: given a vanishing state and
 // its number of instantaneous alternatives, it returns a probability
-// distribution over them.
+// distribution over them. Alternatives are numbered in the state's
+// lts.LTS.Out row order: by label id, then destination.
 type Scheduler interface {
 	Choose(s lts.State, alternatives int) []float64
 }
@@ -143,29 +144,29 @@ func (m *IMC) ToCTMCCtx(ctx context.Context, sched Scheduler, progress engine.Pr
 			return nil, &ZenoError{s}
 		}
 		color[s] = 1
-		outs := m.Inter.Outgoing(s)
+		labs, dsts := m.Inter.Out(s)
 		var probs []float64
-		if len(outs) == 1 {
+		if len(labs) == 1 {
 			probs = []float64{1}
 		} else if sched != nil {
-			probs = sched.Choose(s, len(outs))
-			if len(probs) != len(outs) {
-				return nil, fmt.Errorf("imc: scheduler returned %d probabilities for %d alternatives", len(probs), len(outs))
+			probs = sched.Choose(s, len(labs))
+			if len(probs) != len(labs) {
+				return nil, fmt.Errorf("imc: scheduler returned %d probabilities for %d alternatives", len(probs), len(labs))
 			}
 		} else {
-			return nil, &NondeterminismError{s, len(outs)}
+			return nil, &NondeterminismError{s, len(labs)}
 		}
 		res := &resolution{dist: map[lts.State]float64{}, crossings: map[string]float64{}}
-		for i, t := range outs {
+		for i, id := range labs {
 			p := probs[i]
 			if p == 0 {
 				continue
 			}
-			lab := m.Inter.LabelName(t.Label)
+			lab := m.Inter.LabelName(int(id))
 			if lab != lts.Tau {
 				res.crossings[lab] += p
 			}
-			sub, err := resolve(t.Dst)
+			sub, err := resolve(lts.State(dsts[i]))
 			if err != nil {
 				return nil, err
 			}

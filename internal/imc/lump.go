@@ -114,9 +114,10 @@ func (m *IMC) signatures(block []int) []string {
 	var pairs [][2]int
 	for s := 0; s < n; s++ {
 		pairs = pairs[:0]
-		m.Inter.EachOutgoing(lts.State(s), func(t lts.Transition) {
-			pairs = append(pairs, [2]int{t.Label, block[t.Dst]})
-		})
+		labs, succ := m.Inter.Out(lts.State(s))
+		for i := range labs {
+			pairs = append(pairs, [2]int{int(labs[i]), block[succ[i]]})
+		}
 		sort.Slice(pairs, func(i, j int) bool {
 			if pairs[i][0] != pairs[j][0] {
 				return pairs[i][0] < pairs[j][0]

@@ -28,7 +28,7 @@ func buildShuffled(labelOrder []string, transOrder []int) *LTS {
 }
 
 func TestHashCanonical(t *testing.T) {
-	base := buildShuffled([]string{"a", "b", Tau}, []int{0, 1, 2, 3}).Freeze().Hash()
+	base := buildShuffled([]string{"a", "b", Tau}, []int{0, 1, 2, 3}).Hash()
 	if base == "" {
 		t.Fatal("empty hash")
 	}
@@ -41,26 +41,26 @@ func TestHashCanonical(t *testing.T) {
 		{[]string{"b"}, []int{2, 0, 3, 1}},
 		{nil, []int{1, 3, 0, 2}},
 	} {
-		if got := buildShuffled(tc.labels, tc.order).Freeze().Hash(); got != base {
+		if got := buildShuffled(tc.labels, tc.order).Hash(); got != base {
 			t.Errorf("hash varies with build order %v/%v: %s != %s", tc.labels, tc.order, got, base)
 		}
 	}
 	// Unused interned labels are invisible.
 	withUnused := buildShuffled([]string{"zzz", "a"}, []int{0, 1, 2, 3})
-	if got := withUnused.Freeze().Hash(); got != base {
+	if got := withUnused.Hash(); got != base {
 		t.Errorf("unused label changed the hash: %s != %s", got, base)
 	}
-	// Thaw round-trips the hash.
-	if got := buildShuffled(nil, []int{0, 1, 2, 3}).Freeze().Thaw().Freeze().Hash(); got != base {
-		t.Errorf("thaw round trip changed the hash: %s != %s", got, base)
+	// A copy hashes like its original.
+	if got := buildShuffled(nil, []int{0, 1, 2, 3}).Copy().Hash(); got != base {
+		t.Errorf("copy changed the hash: %s != %s", got, base)
 	}
 }
 
 func TestHashSensitive(t *testing.T) {
 	base := buildShuffled(nil, []int{0, 1, 2, 3})
-	seen := map[string]string{base.Freeze().Hash(): "base"}
+	seen := map[string]string{base.Hash(): "base"}
 	record := func(name string, l *LTS) {
-		h := l.Freeze().Hash()
+		h := l.Hash()
 		if prev, dup := seen[h]; dup {
 			t.Errorf("%s collides with %s", name, prev)
 		}
@@ -97,7 +97,7 @@ func TestHashSensitive(t *testing.T) {
 }
 
 // TestHashRandomStability: hashing is deterministic across repeated
-// freezes of randomly built systems.
+// calls on randomly built systems.
 func TestHashRandomStability(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
@@ -109,8 +109,8 @@ func TestHashRandomStability(t *testing.T) {
 			l.AddTransition(State(rng.Intn(n)), labels[rng.Intn(len(labels))], State(rng.Intn(n)))
 		}
 		l.SetInitial(State(rng.Intn(n)))
-		if h1, h2 := l.Freeze().Hash(), l.Freeze().Hash(); h1 != h2 {
-			t.Fatalf("trial %d: repeated freeze hashes differ: %s != %s", trial, h1, h2)
+		if h1, h2 := l.Hash(), l.Hash(); h1 != h2 {
+			t.Fatalf("trial %d: repeated hashes differ: %s != %s", trial, h1, h2)
 		}
 	}
 }

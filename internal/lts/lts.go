@@ -10,8 +10,12 @@ package lts
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // State identifies a state of an LTS. States are dense indices in
@@ -45,6 +49,13 @@ type Transition struct {
 // LTS is a labeled transition system with a distinguished initial state.
 // The zero value is an empty LTS with no states; use New to create one with
 // a name, then AddState / AddTransition to populate it.
+//
+// Edges are stored once, as flat int32 arrays in insertion order. The
+// adjacency queries (Out, In, Succ, OutDegree, EachOutgoing, EachIncoming,
+// Hash) read a CSR index that is built on first use and dropped by every
+// mutation (see index.go). Reads may run concurrently with each other,
+// the first one included; mutations may not run concurrently with
+// anything.
 type LTS struct {
 	name      string
 	initial   State
@@ -53,9 +64,11 @@ type LTS struct {
 	labels   []string
 	labelIdx map[string]int
 
-	trans []Transition
-	out   [][]int32 // out[s] = indices into trans, in insertion order
-	in    [][]int32 // in[s]  = indices into trans (maintained for refinement)
+	// Edge i is src[i] --lab[i]--> dst[i].
+	src, lab, dst []int32
+
+	mu      sync.Mutex // serializes index builds
+	out, in atomic.Pointer[csr]
 }
 
 // New returns an empty LTS with the given descriptive name.
@@ -70,22 +83,18 @@ func (l *LTS) Name() string { return l.name }
 func (l *LTS) SetName(name string) { l.name = name }
 
 // AddState appends a fresh state and returns its index.
-func (l *LTS) AddState() State {
-	s := State(l.numStates)
-	l.numStates++
-	l.out = append(l.out, nil)
-	l.in = append(l.in, nil)
-	return s
-}
+func (l *LTS) AddState() State { return l.AddStates(1) }
 
 // AddStates appends n fresh states and returns the index of the first one.
-// The per-state tables grow once, not once per state.
+// States carry no storage of their own, so this is a counter bump.
 func (l *LTS) AddStates(n int) State {
 	first := State(l.numStates)
 	if n > 0 {
+		if l.numStates+n > math.MaxInt32 {
+			panic(fmt.Sprintf("lts: %d states overflow the int32 edge arrays", l.numStates+n))
+		}
 		l.numStates += n
-		l.out = append(l.out, make([][]int32, n)...)
-		l.in = append(l.in, make([][]int32, n)...)
+		l.dropIndex()
 	}
 	return first
 }
@@ -94,7 +103,7 @@ func (l *LTS) AddStates(n int) State {
 func (l *LTS) NumStates() int { return l.numStates }
 
 // NumTransitions returns the number of transitions.
-func (l *LTS) NumTransitions() int { return len(l.trans) }
+func (l *LTS) NumTransitions() int { return len(l.src) }
 
 // Initial returns the initial state.
 func (l *LTS) Initial() State { return l.initial }
@@ -108,6 +117,12 @@ func (l *LTS) SetInitial(s State) {
 func (l *LTS) checkState(s State) {
 	if s < 0 || int(s) >= l.numStates {
 		panic(fmt.Sprintf("lts: state %d out of range [0,%d)", s, l.numStates))
+	}
+}
+
+func (l *LTS) checkLabel(label int) {
+	if label < 0 || label >= len(l.labels) {
+		panic(fmt.Sprintf("lts: label %d out of range [0,%d)", label, len(l.labels)))
 	}
 }
 
@@ -143,10 +158,6 @@ func (l *LTS) Labels() []string {
 	return out
 }
 
-// TauID returns the label index of the internal action, interning it if
-// necessary.
-func (l *LTS) TauID() int { return l.LabelID(Tau) }
-
 // IsTau reports whether the label index denotes the internal action.
 func (l *LTS) IsTau(id int) bool { return l.labels[id] == Tau }
 
@@ -159,160 +170,118 @@ func (l *LTS) AddTransition(src State, label string, dst State) {
 func (l *LTS) AddTransitionID(src State, label int, dst State) {
 	l.checkState(src)
 	l.checkState(dst)
-	if label < 0 || label >= len(l.labels) {
-		panic(fmt.Sprintf("lts: label %d out of range [0,%d)", label, len(l.labels)))
-	}
-	idx := int32(len(l.trans))
-	l.trans = append(l.trans, Transition{Src: src, Label: label, Dst: dst})
-	l.out[src] = append(l.out[src], idx)
-	l.in[dst] = append(l.in[dst], idx)
+	l.checkLabel(label)
+	l.src = append(l.src, int32(src))
+	l.lab = append(l.lab, int32(label))
+	l.dst = append(l.dst, int32(dst))
+	l.dropIndex()
 }
 
 // Transition returns the i-th transition (in insertion order).
-func (l *LTS) Transition(i int) Transition { return l.trans[i] }
-
-// Outgoing returns the transitions leaving s, in insertion order.
-// The returned slice is freshly allocated.
-func (l *LTS) Outgoing(s State) []Transition {
-	l.checkState(s)
-	out := make([]Transition, len(l.out[s]))
-	for i, idx := range l.out[s] {
-		out[i] = l.trans[idx]
-	}
-	return out
+func (l *LTS) Transition(i int) Transition {
+	return Transition{State(l.src[i]), int(l.lab[i]), State(l.dst[i])}
 }
 
-// EachOutgoing calls f for every transition leaving s. It avoids the
-// allocation of Outgoing and is the preferred traversal in hot loops.
-func (l *LTS) EachOutgoing(s State, f func(Transition)) {
-	for _, idx := range l.out[s] {
-		f(l.trans[idx])
-	}
-}
-
-// EachIncoming calls f for every transition entering s.
-func (l *LTS) EachIncoming(s State, f func(Transition)) {
-	for _, idx := range l.in[s] {
-		f(l.trans[idx])
-	}
-}
-
-// EachTransition calls f for every transition of the LTS.
+// EachTransition calls f for every transition of the LTS, in insertion
+// order.
 func (l *LTS) EachTransition(f func(Transition)) {
-	for _, t := range l.trans {
-		f(t)
+	for i := range l.src {
+		f(Transition{State(l.src[i]), int(l.lab[i]), State(l.dst[i])})
 	}
 }
 
-// OutDegree returns the number of transitions leaving s.
-func (l *LTS) OutDegree(s State) int { return len(l.out[s]) }
+// EachOutgoing calls f for every transition leaving s, in the (label,
+// dst) order of its Out row.
+func (l *LTS) EachOutgoing(s State, f func(Transition)) {
+	labs, dsts := l.Out(s)
+	for i := range labs {
+		f(Transition{s, int(labs[i]), State(dsts[i])})
+	}
+}
+
+// EachIncoming calls f for every transition entering s, in the (label,
+// src) order of its In row.
+func (l *LTS) EachIncoming(s State, f func(Transition)) {
+	labs, srcs := l.In(s)
+	for i := range labs {
+		f(Transition{State(srcs[i]), int(labs[i]), s})
+	}
+}
 
 // Successors returns the distinct states reachable from s by one transition
 // labeled with the given label id, in ascending order.
 func (l *LTS) Successors(s State, label int) []State {
 	var succ []State
-	l.EachOutgoing(s, func(t Transition) {
-		if t.Label == label {
-			succ = append(succ, t.Dst)
+	for i, d := range l.Succ(s, label) {
+		if i == 0 || State(d) != succ[len(succ)-1] {
+			succ = append(succ, State(d))
 		}
-	})
-	return dedupStates(succ)
+	}
+	return succ
 }
 
 // HasTransition reports whether the exact edge src --label--> dst exists.
 func (l *LTS) HasTransition(src State, label int, dst State) bool {
-	found := false
-	l.EachOutgoing(src, func(t Transition) {
-		if t.Label == label && t.Dst == dst {
-			found = true
-		}
-	})
+	_, found := slices.BinarySearch(l.Succ(src, label), int32(dst))
 	return found
 }
 
 // IsDeadlock reports whether s has no outgoing transitions.
-func (l *LTS) IsDeadlock(s State) bool { return len(l.out[s]) == 0 }
+func (l *LTS) IsDeadlock(s State) bool { return l.OutDegree(s) == 0 }
 
 // DeadlockStates returns all states with no outgoing transitions.
 func (l *LTS) DeadlockStates() []State {
 	var dead []State
 	for s := 0; s < l.numStates; s++ {
-		if len(l.out[s]) == 0 {
+		if l.OutDegree(State(s)) == 0 {
 			dead = append(dead, State(s))
 		}
 	}
 	return dead
 }
 
-// Build constructs an LTS in one pass from parts whose shape is already
-// known: the full label table (indexed by label id), and the transition
-// list in final insertion order. Per-state adjacency is assembled by
-// counting sort into exactly-sized backing arrays instead of
-// per-transition appends, so bulk producers — the sharded product
-// generator's renumbering pass — pay O(states + transitions) with a
-// constant number of allocations. Build takes ownership of trans; the
-// result is indistinguishable from an LTS built by AddTransitionID calls
-// in the same order (later mutations remain valid: the per-state slices
-// are capacity-clamped, so appends copy out of the shared arrays).
-func Build(name string, numStates int, initial State, labels []string, trans []Transition) *LTS {
-	l := &LTS{
-		name:      name,
-		numStates: numStates,
-		labels:    append([]string(nil), labels...),
-		labelIdx:  make(map[string]int, len(labels)),
-		trans:     trans,
-		out:       make([][]int32, numStates),
-		in:        make([][]int32, numStates),
+// Build constructs an LTS in one step from parts whose shape is already
+// known: the full label table (indexed by label id) and the edge arrays
+// src, lab, dst in final insertion order. Build takes ownership of all
+// four slices and validates every edge; the result is indistinguishable
+// from an LTS built by AddTransitionID calls in the same order.
+func Build(name string, numStates int, initial State, labels []string, src, lab, dst []int32) *LTS {
+	if len(lab) != len(src) || len(dst) != len(src) {
+		panic(fmt.Sprintf("lts: edge arrays of lengths %d, %d, %d", len(src), len(lab), len(dst)))
 	}
-	for i, lab := range l.labels {
-		l.labelIdx[lab] = i
+	l := New(name)
+	l.AddStates(numStates)
+	l.labels = labels
+	for i, label := range labels {
+		l.labelIdx[label] = i
 	}
-	outDeg := make([]int32, numStates)
-	inDeg := make([]int32, numStates)
-	for _, t := range trans {
-		l.checkState(t.Src)
-		l.checkState(t.Dst)
-		if t.Label < 0 || t.Label >= len(l.labels) {
-			panic(fmt.Sprintf("lts: label %d out of range [0,%d)", t.Label, len(l.labels)))
-		}
-		outDeg[t.Src]++
-		inDeg[t.Dst]++
+	for i := range src {
+		l.checkState(State(src[i]))
+		l.checkState(State(dst[i]))
+		l.checkLabel(int(lab[i]))
 	}
-	outBuf := make([]int32, len(trans))
-	inBuf := make([]int32, len(trans))
-	var outOff, inOff int32
-	for s := 0; s < numStates; s++ {
-		l.out[s] = outBuf[outOff : outOff : outOff+outDeg[s]]
-		l.in[s] = inBuf[inOff : inOff : inOff+inDeg[s]]
-		outOff += outDeg[s]
-		inOff += inDeg[s]
-	}
-	for i, t := range trans {
-		l.out[t.Src] = append(l.out[t.Src], int32(i))
-		l.in[t.Dst] = append(l.in[t.Dst], int32(i))
-	}
+	l.src, l.lab, l.dst = src, lab, dst
 	if numStates > 0 {
 		l.SetInitial(initial)
 	}
 	return l
 }
 
-// Copy returns a deep copy of the LTS.
+// Copy returns a deep copy of the LTS. The copy shares the (immutable)
+// adjacency index until either side is mutated.
 func (l *LTS) Copy() *LTS {
 	c := New(l.name)
 	c.initial = l.initial
 	c.numStates = l.numStates
-	c.labels = append([]string(nil), l.labels...)
+	c.labels = slices.Clone(l.labels)
 	for i, lab := range c.labels {
 		c.labelIdx[lab] = i
 	}
-	c.trans = append([]Transition(nil), l.trans...)
-	c.out = make([][]int32, l.numStates)
-	c.in = make([][]int32, l.numStates)
-	for s := 0; s < l.numStates; s++ {
-		c.out[s] = append([]int32(nil), l.out[s]...)
-		c.in[s] = append([]int32(nil), l.in[s]...)
-	}
+	c.src = slices.Clone(l.src)
+	c.lab = slices.Clone(l.lab)
+	c.dst = slices.Clone(l.dst)
+	c.out.Store(l.out.Load())
+	c.in.Store(l.in.Load())
 	return c
 }
 
@@ -329,14 +298,13 @@ type Stats struct {
 func (l *LTS) Stats() Stats {
 	st := Stats{
 		States:      l.numStates,
-		Transitions: len(l.trans),
+		Transitions: len(l.src),
 		Labels:      len(l.labels),
 		Deadlocks:   len(l.DeadlockStates()),
 	}
-	tau, ok := l.labelIdx[Tau]
-	if ok {
-		for _, t := range l.trans {
-			if t.Label == tau {
+	if tau := l.LookupLabel(Tau); tau >= 0 {
+		for _, lab := range l.lab {
+			if int(lab) == tau {
 				st.TauCount++
 			}
 		}
@@ -347,15 +315,15 @@ func (l *LTS) Stats() Stats {
 // String returns a compact human-readable summary.
 func (l *LTS) String() string {
 	return fmt.Sprintf("lts %q: %d states, %d transitions, %d labels",
-		l.name, l.numStates, len(l.trans), len(l.labels))
+		l.name, l.numStates, len(l.src), len(l.labels))
 }
 
 // Dump renders every transition, one per line, for debugging and tests.
 func (l *LTS) Dump() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "initial %d\n", l.initial)
-	for _, t := range l.trans {
-		fmt.Fprintf(&b, "%d --%s--> %d\n", t.Src, l.labels[t.Label], t.Dst)
+	for i := range l.src {
+		fmt.Fprintf(&b, "%d --%s--> %d\n", l.src[i], l.labels[l.lab[i]], l.dst[i])
 	}
 	return b.String()
 }

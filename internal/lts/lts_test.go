@@ -39,12 +39,12 @@ func TestAddStateAndTransition(t *testing.T) {
 	if l.NumTransitions() != 2 {
 		t.Fatalf("NumTransitions = %d, want 2", l.NumTransitions())
 	}
-	out := l.Outgoing(s0)
-	if len(out) != 2 {
-		t.Fatalf("Outgoing(s0) = %d edges, want 2", len(out))
+	labs, dsts := l.Out(s0)
+	if len(labs) != 2 {
+		t.Fatalf("Out(s0) = %d edges, want 2", len(labs))
 	}
-	if l.LabelName(out[0].Label) != "a" || out[0].Dst != s1 {
-		t.Errorf("first edge = %v", out[0])
+	if l.LabelName(int(labs[0])) != "a" || State(dsts[0]) != s1 {
+		t.Errorf("first edge = %v --%v--> %v", s0, labs[0], dsts[0])
 	}
 	if !l.HasTransition(s0, l.LookupLabel("b"), s0) {
 		t.Error("missing b self-loop")

@@ -31,8 +31,12 @@ func (l *LTS) Reachable() []bool {
 
 // Trim returns a copy of the LTS restricted to states reachable from the
 // initial state, renumbered densely in BFS order, together with the mapping
-// old state -> new state (-1 for removed states). Trimming in BFS order also
-// canonicalizes state numbering for graphs produced deterministically.
+// old state -> new state (-1 for removed states). The BFS follows each
+// state's transitions in insertion order, not in the label-id order of its
+// Out row, so the numbering — and with it the content digest of a trimmed
+// model — depends only on how the model was generated. Trimming in BFS
+// order also canonicalizes state numbering for graphs produced
+// deterministically.
 func (l *LTS) Trim() (*LTS, []State) {
 	mapping := make([]State, l.numStates)
 	for i := range mapping {
@@ -42,21 +46,36 @@ func (l *LTS) Trim() (*LTS, []State) {
 	if l.numStates == 0 {
 		return c, mapping
 	}
+	// Edge ids grouped by source, each group in insertion order.
+	off := make([]int32, l.numStates+1)
+	for _, s := range l.src {
+		off[s+1]++
+	}
+	for s := 0; s < l.numStates; s++ {
+		off[s+1] += off[s]
+	}
+	ids := make([]int32, len(l.src))
+	next := append([]int32(nil), off[:l.numStates]...)
+	for e, s := range l.src {
+		ids[next[s]] = int32(e)
+		next[s]++
+	}
+
 	queue := []State{l.initial}
 	mapping[l.initial] = c.AddState()
 	for qi := 0; qi < len(queue); qi++ {
 		s := queue[qi]
-		l.EachOutgoing(s, func(t Transition) {
-			if mapping[t.Dst] < 0 {
-				mapping[t.Dst] = c.AddState()
-				queue = append(queue, t.Dst)
+		for _, e := range ids[off[s]:off[s+1]] {
+			if d := l.dst[e]; mapping[d] < 0 {
+				mapping[d] = c.AddState()
+				queue = append(queue, State(d))
 			}
-		})
+		}
 	}
 	for _, s := range queue {
-		l.EachOutgoing(s, func(t Transition) {
-			c.AddTransition(mapping[t.Src], l.labels[t.Label], mapping[t.Dst])
-		})
+		for _, e := range ids[off[s]:off[s+1]] {
+			c.AddTransition(mapping[s], l.labels[l.lab[e]], mapping[l.dst[e]])
+		}
 	}
 	c.SetInitial(mapping[l.initial])
 	return c, mapping
@@ -92,8 +111,8 @@ func (l *LTS) HideLabels(labels ...string) *LTS {
 func (l *LTS) Relabel(f func(label string) string) *LTS {
 	c := New(l.name)
 	c.AddStates(l.numStates)
-	for _, t := range l.trans {
-		c.AddTransition(t.Src, f(l.labels[t.Label]), t.Dst)
+	for i := range l.src {
+		c.AddTransition(State(l.src[i]), f(l.labels[l.lab[i]]), State(l.dst[i]))
 	}
 	if l.numStates > 0 {
 		c.SetInitial(l.initial)
@@ -105,8 +124,8 @@ func (l *LTS) Relabel(f func(label string) string) *LTS {
 // least one transition.
 func (l *LTS) VisibleLabels() []string {
 	used := make([]bool, len(l.labels))
-	for _, t := range l.trans {
-		used[t.Label] = true
+	for _, lab := range l.lab {
+		used[lab] = true
 	}
 	var vis []string
 	for id, ok := range used {
@@ -153,16 +172,16 @@ func (l *LTS) Deterministic() bool {
 		s   State
 		lab int
 	}
-	seen := make(map[key]State, len(l.trans))
-	for _, t := range l.trans {
-		if hasTau && t.Label == tau {
-			return false
+	for s := 0; s < l.numStates; s++ {
+		labs, dsts := l.Out(State(s))
+		for i := range labs {
+			if hasTau && int(labs[i]) == tau {
+				return false
+			}
+			if i > 0 && labs[i] == labs[i-1] && dsts[i] != dsts[i-1] {
+				return false
+			}
 		}
-		k := key{t.Src, t.Label}
-		if prev, ok := seen[k]; ok && prev != t.Dst {
-			return false
-		}
-		seen[k] = t.Dst
 	}
 	return true
 }
@@ -239,22 +258,22 @@ func (l *LTS) StronglyConnectedComponents(pred func(Transition) bool) [][]State 
 	n := l.numStates
 	// Filtered CSR adjacency: one counting pass, one fill pass.
 	off := make([]int32, n+1)
-	for _, t := range l.trans {
+	l.EachTransition(func(t Transition) {
 		if pred == nil || pred(t) {
 			off[t.Src+1]++
 		}
-	}
+	})
 	for s := 0; s < n; s++ {
 		off[s+1] += off[s]
 	}
 	dst := make([]int32, off[n])
 	pos := append([]int32(nil), off[:n]...)
-	for _, t := range l.trans {
+	l.EachTransition(func(t Transition) {
 		if pred == nil || pred(t) {
 			dst[pos[t.Src]] = int32(t.Dst)
 			pos[t.Src]++
 		}
-	}
+	})
 	comps32, _ := scc.Strong(n, func(s int32) []int32 {
 		return dst[off[s]:off[s+1]]
 	})
@@ -277,8 +296,8 @@ func (l *LTS) TauCycles() bool {
 		return false
 	}
 	isTau := func(t Transition) bool { return t.Label == tau }
-	for _, t := range l.trans {
-		if t.Label == tau && t.Src == t.Dst {
+	for i := range l.src {
+		if int(l.lab[i]) == tau && l.src[i] == l.dst[i] {
 			return true
 		}
 	}
@@ -296,7 +315,7 @@ func (l *LTS) TauCycles() bool {
 func Isomorphic(a, b *LTS) bool {
 	ta, _ := a.Trim()
 	tb, _ := b.Trim()
-	if ta.numStates != tb.numStates || len(ta.trans) != len(tb.trans) {
+	if ta.numStates != tb.numStates || len(ta.src) != len(tb.src) {
 		return false
 	}
 	ka := canonicalEdgeList(ta)
@@ -313,10 +332,10 @@ func Isomorphic(a, b *LTS) bool {
 }
 
 func canonicalEdgeList(l *LTS) []string {
-	edges := make([]string, 0, len(l.trans))
-	for _, t := range l.trans {
+	edges := make([]string, 0, len(l.src))
+	l.EachTransition(func(t Transition) {
 		edges = append(edges, fmt.Sprintf("%d|%s|%d", t.Src, l.labels[t.Label], t.Dst))
-	}
+	})
 	sort.Strings(edges)
 	return edges
 }

@@ -399,11 +399,12 @@ func (e *evaluation) drain() (int, error) {
 				continue
 			}
 			mask := p.masks[nd.act]
-			e.l.EachIncoming(lts.State(w.state), func(t lts.Transition) {
-				if mask[t.Label] {
-					n += e.hit(r, int32(t.Src))
+			labs, srcs := e.l.In(lts.State(w.state))
+			for i, lab := range labs {
+				if mask[lab] {
+					n += e.hit(r, srcs[i])
 				}
-			})
+			}
 		}
 	}
 	return n, nil

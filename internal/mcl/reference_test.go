@@ -255,9 +255,10 @@ func refWitness(l *lts.LTS, f Formula) ([]string, bool) {
 		trace = append([]string{l.LabelName(prevLabel[s])}, trace...)
 	}
 	if finalAct != nil {
-		for _, t := range l.Outgoing(goal) {
-			if finalAct.Matches(l.LabelName(t.Label)) {
-				trace = append(trace, l.LabelName(t.Label))
+		labs, _ := l.Out(goal)
+		for _, lab := range labs {
+			if finalAct.Matches(l.LabelName(int(lab))) {
+				trace = append(trace, l.LabelName(int(lab)))
 				break
 			}
 		}

@@ -4,8 +4,8 @@
 // lived in lts (StronglyConnectedComponents), sparse (BottomSCCs) and
 // bisim (divergence detection); they are all rebased on Strong, which is
 // parameterized only by an edge iterator so it runs unchanged over
-// per-state transition slices, CSR matrix rows, and label-filtered frozen
-// rows.
+// filtered successor arrays, CSR matrix rows, and label-filtered LTS
+// index rows.
 package scc
 
 import "sort"

@@ -5,7 +5,7 @@
 // deadlines and cancellation on client disconnect, on top of a
 // content-addressed artifact cache — models, performance models with
 // their extracted CTMCs, and solved measure sets are keyed by canonical
-// digests (lts.Frozen.Hash over CSR form, SHA-256 over request specs)
+// digests (lts.LTS.Hash over the Out rows, SHA-256 over request specs)
 // with singleflight deduplication, so N concurrent identical requests
 // share one computation and repeated query workloads against few
 // distinct models turn into O(1) lookups.
@@ -276,7 +276,7 @@ type ModelInfo struct {
 	Transitions int    `json:"transitions"`
 }
 
-// storeModel parses .aut text, hashes its frozen form and stores it
+// storeModel parses .aut text, hashes its LTS and stores it
 // under its content address, so behaviourally identical uploads share
 // one entry.
 func (s *Server) storeModel(text string) (*storedModel, error) {

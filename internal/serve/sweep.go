@@ -163,6 +163,41 @@ type sweepPlan struct {
 	distinctModels int
 }
 
+// resolveSweep is everything a sweep validates before its first point
+// runs: a resume is looked up in the registry (a bare resume replays the
+// stored request, returned in place of req), then the request is
+// planned. run is the resumed sweep, or nil for a new one.
+func (s *Server) resolveSweep(req *SweepRequest) (*SweepRequest, *sweepRun, *sweepPlan, error) {
+	var run *sweepRun
+	if req.Resume != "" {
+		prev, ok := s.sweeps.get(req.Resume)
+		if !ok {
+			return nil, nil, nil, fmt.Errorf("%w: %s", errUnknownSweep, req.Resume)
+		}
+		if req.Family == "" {
+			// Bare resume: replay the stored request against the journal.
+			prev.mu.Lock()
+			stored := prev.request
+			prev.mu.Unlock()
+			if stored == nil {
+				return nil, nil, nil, badRequestf("sweep %s has no stored request; repeat the family and grid", req.Resume)
+			}
+			replay := *stored
+			replay.Resume = req.Resume
+			if req.Concurrency > 0 {
+				replay.Concurrency = req.Concurrency
+			}
+			req = &replay
+		}
+		run = prev
+	}
+	plan, err := s.planSweep(req)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return req, run, plan, nil
+}
+
 // planSweep expands and validates the request. Errors here are global
 // (bad family, bad grid); per-point instance resolution errors are
 // recorded in the plan so the rest of the grid still runs.
@@ -311,30 +346,7 @@ func (s *Server) RunSweep(ctx context.Context, req *SweepRequest, onPoint func(S
 }
 
 func (s *Server) runSweep(ctx context.Context, req *SweepRequest, ev sweepEvents) (*SweepResponse, error) {
-	var run *sweepRun
-	if req.Resume != "" {
-		prev, ok := s.sweeps.get(req.Resume)
-		if !ok {
-			return nil, fmt.Errorf("%w: %s", errUnknownSweep, req.Resume)
-		}
-		if req.Family == "" {
-			// Bare resume: replay the stored request against the journal.
-			prev.mu.Lock()
-			stored := prev.request
-			prev.mu.Unlock()
-			if stored == nil {
-				return nil, badRequestf("sweep %s has no stored request; repeat the family and grid", req.Resume)
-			}
-			replay := *stored
-			replay.Resume = req.Resume
-			if req.Concurrency > 0 {
-				replay.Concurrency = req.Concurrency
-			}
-			req = &replay
-		}
-		run = prev
-	}
-	plan, err := s.planSweep(req)
+	req, run, plan, err := s.resolveSweep(req)
 	if err != nil {
 		return nil, err
 	}

@@ -101,13 +101,13 @@ func (m *Model) States() int { return m.L.NumStates() }
 func (m *Model) Transitions() int { return m.L.NumTransitions() }
 
 // Hash returns the canonical content digest of the model: the SHA-256 of
-// its frozen CSR form (see lts.Frozen.Hash), invariant under transition
-// insertion order and label interning order. Behaviourally identical
+// its states and labelled edges (see lts.LTS.Hash), invariant under
+// transition insertion order and label interning order. Behaviourally identical
 // builds hash identically, which makes the digest a content address for
 // caching derived artifacts (quotients, extracted CTMCs, solutions)
 // across requests. The digest reflects the LTS at call time; it is
 // recomputed per call, so hash once and reuse the string when keying.
-func (m *Model) Hash() string { return m.L.Freeze().Hash() }
+func (m *Model) Hash() string { return m.L.Hash() }
 
 // Minimize returns the quotient of the model modulo rel, computed by the
 // engine with ctx observed at every refinement round boundary.
